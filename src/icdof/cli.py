@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("build", help="materialize the input alphabet W_N")
+    p = sub.add_parser("build", help="build the input alphabet W_N and report its size")
     p.add_argument("--channel", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--range", type=int, required=True, help="coefficient range N")

@@ -8,6 +8,9 @@ where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
 into exact polynomials in the channel generators; independence over the
 rationals is then an integer rank question, decided by fraction-free
+elimination.  A family of single terms with pairwise distinct monomials
+(every entry its own generator, the generic case) is independent on sight,
+since distinct monomials are linearly independent over Q, and skips the
 elimination.  A failed check returns an explicit integer certificate that
 substitutes back to the exact zero polynomial.
 
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Tuple
 
 from .algebra import (
     AlgebraElement,
+    distinct_single_terms,
     enumerate_monomials,
     monomial_count,
     monomial_key,
@@ -56,11 +60,16 @@ def monomial_values(
     matrix: ChannelMatrix, d: int, receiver: int, phi_cap: int = DEFAULT_PHI_CAP
 ) -> List[AlgebraElement]:
     """The length-2*phi(d) family for one receiver (1-based index)."""
+    return _receiver_family(matrix, receiver, basis_values(matrix, d, phi_cap))
+
+
+def _receiver_family(
+    matrix: ChannelMatrix, receiver: int, basis: List[AlgebraElement]
+) -> List[AlgebraElement]:
     if not 1 <= receiver <= matrix.K:
         raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
-    values = basis_values(matrix, d, phi_cap)
     h_ii = matrix.diagonal(receiver)
-    return values + [h_ii * v for v in values]
+    return list(basis) + [h_ii * v for v in basis]
 
 
 @dataclass(frozen=True)
@@ -129,11 +138,27 @@ def _integer_columns(values: List[AlgebraElement]) -> List[List[int]]:
 
 
 def check_condition_star(
-    matrix: ChannelMatrix, d: int, receiver: int, phi_cap: int = DEFAULT_PHI_CAP
+    matrix: ChannelMatrix,
+    d: int,
+    receiver: int,
+    phi_cap: int = DEFAULT_PHI_CAP,
+    *,
+    basis: List[AlgebraElement] | None = None,
 ) -> ReceiverVerdict:
-    """Decide independence of the receiver family up to degree ``d``."""
-    values = monomial_values(matrix, d, receiver, phi_cap)
+    """Decide independence of the receiver family up to degree ``d``.
+
+    ``basis`` is ``basis_values(matrix, d, phi_cap)`` when the caller already
+    has it.  A family of single terms with pairwise distinct monomials is
+    independent with rank 2*phi without elimination: distinct monomials are
+    linearly independent over Q, so the integer matrix has one nonzero per
+    column, each in its own row.  Every other family goes through Bareiss.
+    """
+    if basis is None:
+        basis = basis_values(matrix, d, phi_cap)
+    values = _receiver_family(matrix, receiver, basis)
     phi = len(values) // 2
+    if distinct_single_terms(values) is not None:
+        return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
     rows = _integer_columns(values)
     if not rows:
         # All values are the zero polynomial (degenerate all-zero matrix row).
@@ -154,8 +179,13 @@ def check_condition_star(
 def check_all(
     matrix: ChannelMatrix, d: int, phi_cap: int = DEFAULT_PHI_CAP
 ) -> ConditionReport:
-    """Aggregate :func:`check_condition_star` over all receivers."""
+    """Aggregate :func:`check_condition_star` over all receivers.
+
+    The basis values are shared by every receiver, so they are built once.
+    """
+    basis = basis_values(matrix, d, phi_cap)
     verdicts = tuple(
-        check_condition_star(matrix, d, i, phi_cap) for i in range(1, matrix.K + 1)
+        check_condition_star(matrix, d, i, phi_cap, basis=basis)
+        for i in range(1, matrix.K + 1)
     )
     return ConditionReport(d, verdicts)

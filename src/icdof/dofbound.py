@@ -1,10 +1,16 @@
 """Exact construction of the self-similar input alphabet and the DoF bound.
 
-The pipeline: materialize the alphabet W_N of integer-combination values of
-the degree-<=d monomials in the off-diagonal entries, form the exact laws of
+The pipeline: build the alphabet W_N of integer-combination values of the
+degree-<=d monomials in the off-diagonal entries, form the exact laws of
 the received sums (full and interference-only) of independent uniform
 letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
+
+W_N is enumerated only when its letters are needed.  When the basis values
+are single terms with pairwise distinct monomials (every entry its own
+generator, the generic case), |W_N| = N^phi is read off the basis and the
+letters stay unenumerated until something iterates over them; the
+coordinate decomposition below never does.
 
 Entropies are computed either by exact convolution keyed on canonical
 polynomial values, or (for channels whose entries are single-term, e.g. the
@@ -19,15 +25,22 @@ supports grow beyond any materializable size already at d=1, N=3.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, monomial_count, monomial_key, monomial_mul
+from .algebra import (
+    AlgebraElement,
+    distinct_single_terms,
+    monomial_count,
+    monomial_key,
+    monomial_mul,
+)
 from .channel import ChannelMatrix, fully_connected
 from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import condition as condition_mod
@@ -61,6 +74,32 @@ def entropy_from_counts(counts, total) -> float:
 # -- alphabet construction -------------------------------------------------
 
 
+class Letters:
+    """The letters of W_N: sized at once, enumerated on first iteration.
+
+    ``len`` is the cardinality and costs nothing.  The first iteration runs
+    the enumeration once and caches it, so every iteration sees the letters
+    in the same order as an eager enumeration of the same basis.
+    """
+
+    __slots__ = ("_size", "_enumerate", "_items")
+
+    def __init__(
+        self, size: int, enumerate_letters: Callable[[], Tuple[AlgebraElement, ...]]
+    ):
+        self._size = size
+        self._enumerate = enumerate_letters
+        self._items: Tuple[AlgebraElement, ...] | None = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[AlgebraElement]:
+        if self._items is None:
+            self._items = self._enumerate()
+        return iter(self._items)
+
+
 @dataclass(frozen=True)
 class InputConstruction:
     """The alphabet W_N together with its construction metadata."""
@@ -68,7 +107,7 @@ class InputConstruction:
     degree: int
     coeff_range: int
     basis: Tuple[AlgebraElement, ...]
-    elements: Tuple[AlgebraElement, ...]
+    elements: Letters
     cardinality: int
     contraction: Fraction
     unique_representation: bool
@@ -79,6 +118,17 @@ class InputConstruction:
         return 2.0 * math.log2(self.cardinality)
 
 
+def _enumerate_letters(
+    basis: Sequence[AlgebraElement], N: int, ngens: int
+) -> Tuple[AlgebraElement, ...]:
+    """Every sum_i a_i f_i(h) with a_i in {1..N}, deduplicated exactly."""
+    elements = {AlgebraElement.zero(ngens)}
+    for f in basis:
+        scaled = [f.scale(a) for a in range(1, N + 1)]
+        elements = {w + s for w in elements for s in scaled}
+    return tuple(elements)
+
+
 def build_w_n(
     matrix: ChannelMatrix,
     d: int,
@@ -86,24 +136,37 @@ def build_w_n(
     cap: int = DEFAULT_SUPPORT_CAP,
     phi_cap: int = condition_mod.DEFAULT_PHI_CAP,
 ) -> InputConstruction:
-    """Materialize W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup."""
+    """W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup.
+
+    When the basis values f_i = c_i m_i are single terms with pairwise
+    distinct monomials m_i, the letter for (a_1, ..., a_phi) has coefficient
+    a_i c_i on m_i, so each a_i is read back as (coefficient of m_i) / c_i.
+    Distinct coefficient vectors therefore give distinct letters, |W_N| =
+    N^phi and the representation is unique, with nothing enumerated.  The
+    letters are enumerated on first iteration.  Any other basis is
+    enumerated here and deduplicated exactly.  The nominal size N^phi is
+    capped either way.
+    """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
     basis = tuple(condition_mod.basis_values(matrix, d, phi_cap))
     nominal = N ** len(basis)
     if nominal > cap:
         raise CapExceededError("W_N enumeration (N^phi(d) combinations)", nominal, cap)
-    ngens = len(matrix.generators)
-    elements = {AlgebraElement.zero(ngens)}
-    for f in basis:
-        scaled = [f.scale(a) for a in range(1, N + 1)]
-        elements = {w + s for w in elements for s in scaled}
+    enumerate_ = functools.partial(
+        _enumerate_letters, basis, N, len(matrix.generators)
+    )
+    if distinct_single_terms(basis) is not None:
+        elements = Letters(nominal, enumerate_)
+    else:
+        items = enumerate_()
+        elements = Letters(len(items), lambda: items)
     cardinality = len(elements)
     return InputConstruction(
         degree=d,
         coeff_range=N,
         basis=basis,
-        elements=tuple(elements),
+        elements=elements,
         cardinality=cardinality,
         contraction=Fraction(1, cardinality**2),
         unique_representation=cardinality == nominal,
@@ -200,16 +263,9 @@ def _coordinate_layout(
     bijection with coefficient vectors), in which case each monomial
     coordinate of the received sum is an independent sum of scaled uniforms.
     """
-    if not construction.unique_representation:
+    basis_terms = distinct_single_terms(construction.basis)
+    if basis_terms is None:
         return None
-    basis_terms = []
-    seen = set()
-    for f in construction.basis:
-        term = f.single_term()
-        if term is None or term[0] in seen:
-            return None
-        seen.add(term[0])
-        basis_terms.append(term)
     layout: Dict[tuple, List[Fraction]] = {}
     for j in _participants(matrix, receiver, include_diagonal):
         entry_term = matrix.entry(receiver, j).single_term()
@@ -300,15 +356,7 @@ def _representation_reader(basis: Sequence[AlgebraElement]):
     Requires the basis values to be linearly independent; returns None for a
     vector that is not in their span.
     """
-    single = []
-    seen = set()
-    for f in basis:
-        term = f.single_term()
-        if term is None or term[0] in seen:
-            single = None
-            break
-        seen.add(term[0])
-        single.append(term)
+    single = distinct_single_terms(basis)
     if single is not None:
         index = {mono: (k, coeff) for k, (mono, coeff) in enumerate(single)}
 

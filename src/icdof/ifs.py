@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import CapExceededError
 
@@ -234,6 +233,10 @@ def fixed_point_discrepancy(
     Small values evidence the self-similar fixed-point equation; passing a
     wrong ``r_second`` is the negative control.
     """
+    # scipy.stats is imported here, its only use: it dominates the package
+    # import time, which every CLI call would otherwise pay.
+    from scipy.stats import ks_2samp
+
     if depth < 2:
         raise ValueError("depth must be >= 2")
     if count < 1:

@@ -140,6 +140,15 @@ class TestGenericIndependence:
         for d in (0, 1, 2, 3):
             assert check_all(generic_channel(2), d).independent
 
+    def test_distinct_single_terms_skip_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Bareiss ran on a distinct single-term family")
+
+        monkeypatch.setattr(linalg, "bareiss_echelon", refuse)
+        report = check_all(generic_channel(3), 3)
+        assert report.independent
+        assert all(v.rank == v.family_size == 168 for v in report.verdicts)
+
     def test_monotone_in_degree(self):
         # independence up to d+1 implies independence up to d
         # (the degree-d family is a prefix of the degree-(d+1) family)

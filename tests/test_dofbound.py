@@ -30,6 +30,7 @@ from icdof.dofbound import (
     to_ifs,
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
+from icdof import dofbound
 
 
 def brute_force_sum_counts(matrix, receiver, include_diagonal, construction):
@@ -119,6 +120,29 @@ class TestBuildWN:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             build_w_n(generic_channel(3), 1, 100)
+
+    def test_distinct_single_terms_not_enumerated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("W_N was enumerated")
+
+        monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
+        c = build_w_n(generic_channel(3), 1, 4)
+        assert len(c.elements) == c.cardinality == 16384
+        assert c.unique_representation
+        report = dof_lower_bound(generic_channel(3), 1, 4)
+        assert report.total == 0.1440386719039749
+        with pytest.raises(AssertionError, match="enumerated"):
+            next(iter(c.elements))
+
+    def test_collisions_enumerated_eagerly(self, monkeypatch):
+        doc = {
+            "K": 2,
+            "generators": ["g", "h11", "h22"],
+            "entries": [["h11", "g"], ["g", "h22"]],
+        }
+        c = build_w_n(load_channel(doc), 1, 2)
+        monkeypatch.setattr(dofbound, "_enumerate_letters", None)
+        assert len(list(c.elements)) == c.cardinality == 6
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
