@@ -193,22 +193,11 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _gate_condition(matrix, degree, waive) -> None:
-    if waive:
-        return
-    report = condition.check_all(matrix, degree)
-    if not report.independent:
-        raise ConditionNotSatisfiedError(
-            f"rational independence fails at degree {degree}; "
-            "rerun with --waive-condition to proceed anyway",
-            report,
-        )
-
-
 def cmd_build(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
-    _gate_condition(matrix, args.degree, args.waive_condition)
+    if not args.waive_condition:
+        condition.require_independent(matrix, args.degree)
     construction = dofbound.build_w_n(matrix, args.degree, args.range)
     report = {
         "degree": construction.degree,

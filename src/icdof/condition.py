@@ -32,7 +32,7 @@ from .algebra import (
     monomial_key,
 )
 from .channel import ChannelMatrix, off_diagonal
-from .errors import CapExceededError
+from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import linalg
 
 #: Cap on phi(d), the per-receiver family is twice this long.
@@ -118,7 +118,7 @@ class ConditionReport:
         return all(v.independent for v in self.verdicts)
 
 
-def _integer_columns(values: List[AlgebraElement]) -> List[List[int]]:
+def integer_columns(values: List[AlgebraElement]) -> List[List[int]]:
     """Coefficient matrix with one column per value, one row per monomial.
 
     Rows are scaled to integers by their denominator lcm; row scaling leaves
@@ -159,7 +159,7 @@ def check_condition_star(
     phi = len(values) // 2
     if distinct_single_terms(values) is not None:
         return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
-    rows = _integer_columns(values)
+    rows = integer_columns(values)
     if not rows:
         # All values are the zero polynomial (degenerate all-zero matrix row).
         kernel = [1] + [0] * (2 * phi - 1)
@@ -189,3 +189,30 @@ def check_all(
         for i in range(1, matrix.K + 1)
     )
     return ConditionReport(d, verdicts)
+
+
+def require_independent(
+    matrix: ChannelMatrix, degree: int, phi_cap: int = DEFAULT_PHI_CAP
+) -> None:
+    """The condition gate: raise unless every receiver family is independent.
+
+    Raises :class:`ConditionNotSatisfiedError` carrying the
+    :func:`check_all` report (and so the certificate) at ``degree``.
+
+    ``build`` gates at d: the letters of W_N are integer combinations of the
+    degree-<=d basis values, and their representation is unique (|W_N| =
+    N^phi(d)) as soon as those values are independent, which the degree-d
+    family contains.  ``bound`` and ``sweep`` gate at d+1: at receiver i the
+    interference sum_{j != i} h_ij W_j lies in the span of the degree-<=(d+1)
+    monomials and the desired signal h_ii W_i in h_ii times that span, so
+    separating the two needs the degree-(d+1) family to be independent.
+    The degree-(d+1) family contains the degree-d one, so passing the
+    bound's gate implies passing the build's.
+    """
+    report = check_all(matrix, degree, phi_cap)
+    if not report.independent:
+        raise ConditionNotSatisfiedError(
+            f"rational independence fails at degree {degree}; "
+            "waive the condition (--waive-condition) to proceed anyway",
+            report,
+        )

@@ -20,7 +20,14 @@ uniforms drawn from disjoint letter coefficients, so the coordinates are
 independent and the entropy is the sum of small one-dimensional convolution
 entropies.  The two routes agree exactly and are cross-checked in the tests;
 the decomposition is what makes desk-scale sweeps feasible, since full-sum
-supports grow beyond any materializable size already at d=1, N=3.
+supports grow beyond any materializable size already at d=1, N=3.  Every
+sum of scaled uniforms, here and in the rational example class, goes
+through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
+dense law wider than the support cap before allocating it.
+
+The condition gate is :func:`condition.require_independent`, at degree d+1
+for the bound and the sweep.  Containment reads support elements over the
+degree-(d+1) basis by Bareiss elimination in :mod:`linalg`.
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ from .algebra import (
     monomial_mul,
 )
 from .channel import ChannelMatrix, fully_connected
-from .errors import CapExceededError, ConditionNotSatisfiedError
+from .errors import CapExceededError
 from . import condition as condition_mod
+from . import linalg
 from .ifs import IFSSpec
 
 #: Default cap on materialized support sizes (alphabets and sum supports).
@@ -278,17 +286,42 @@ def _coordinate_layout(
     return layout
 
 
-def _scaled_uniform_sum_counts(coeffs: Sequence[Fraction], N: int):
-    """Counts of sum_t c_t * U_t with U_t i.i.d. uniform on {1..N}."""
-    counts: Dict[Fraction, int] = {Fraction(0): 1}
-    for c in coeffs:
-        new: Dict[Fraction, int] = {}
-        for v, cv in counts.items():
-            for a in range(1, N + 1):
-                key = v + c * a
-                new[key] = new.get(key, 0) + cv
-        counts = new
-    return counts
+def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
+    """Sliding sums of ``width`` consecutive entries, full overlap-extended."""
+    c = np.concatenate([[0], np.cumsum(arr)])
+    t = np.arange(len(arr) + width - 1)
+    hi = np.minimum(t, len(arr) - 1)
+    lo = np.maximum(t - width + 1, 0)
+    return c[hi + 1] - c[lo]
+
+
+def _convolve_scaled_uniform(
+    coeffs: Sequence[int], N: int, cap: int = DEFAULT_SUPPORT_CAP
+) -> Tuple[np.ndarray, int]:
+    """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t nonzero ints.
+
+    Returns ``(counts, offset)``: ``counts[k]`` is the number of tuples whose
+    sum is ``offset + k``.  The dense width 1 + (N-1) sum_t |c_t| is checked
+    against ``cap``, and the total N^T against what int64 counts hold, before
+    anything is allocated.
+    """
+    width = 1 + (N - 1) * sum(abs(c) for c in coeffs)
+    if width > cap:
+        raise CapExceededError("scaled-uniform sum width", width, cap)
+    if N ** len(coeffs) > 2**62:
+        raise CapExceededError("scaled-uniform sum counts", N ** len(coeffs), 2**62)
+    counts = np.ones(1, dtype=np.int64)
+    offset = 0
+    for h in coeffs:
+        s = abs(h)
+        out = np.zeros(len(counts) + s * (N - 1), dtype=np.int64)
+        for q in range(min(s, len(counts))):
+            w = _window_sum(counts[q::s], N)
+            out[q + s * np.arange(len(w))] = w
+        counts = out
+        if h < 0:
+            offset += h * (N - 1)
+    return counts, offset
 
 
 def sum_entropy_stats(
@@ -301,7 +334,12 @@ def sum_entropy_stats(
     """(entropy in bits, exact support cardinality) of the received sum.
 
     Uses the coordinate decomposition when eligible, else materializes the
-    exact convolution (subject to ``cap``).
+    exact convolution (subject to ``cap``).  A coordinate sum_t c_t U_t with
+    U_t uniform on {1..N} is a shift of the same sum over {0..N-1}, and
+    rescaling every c_t by lcm(denominators) / gcd(numerators) is a
+    bijection onto a sum with coprime integer coefficients; neither changes
+    the multiset of counts, so the entropy and support are read off the
+    integer kernel.
     """
     layout = _coordinate_layout(matrix, receiver, include_diagonal, construction)
     if layout is None:
@@ -312,9 +350,14 @@ def sum_entropy_stats(
     support = 1
     for mono in sorted(layout, key=monomial_key):
         coeffs = layout[mono]
-        counts = _scaled_uniform_sum_counts(coeffs, N)
-        entropy += entropy_from_counts(counts.values(), N ** len(coeffs))
-        support *= len(counts)
+        scale = Fraction(
+            math.lcm(*(c.denominator for c in coeffs)),
+            math.gcd(*(c.numerator for c in coeffs)),
+        )
+        counts, _ = _convolve_scaled_uniform([int(c * scale) for c in coeffs], N, cap)
+        nz = counts[counts > 0]
+        entropy += entropy_from_counts(nz.tolist(), N ** len(coeffs))
+        support *= len(nz)
     return entropy, support
 
 
@@ -353,8 +396,13 @@ class ContainmentResult:
 def _representation_reader(basis: Sequence[AlgebraElement]):
     """Function mapping an element to its coefficient vector over ``basis``.
 
-    Requires the basis values to be linearly independent; returns None for a
-    vector that is not in their span.
+    Requires the basis values to be linearly independent (a Bareiss rank
+    test, ``ValueError`` otherwise); returns None for an element that is not
+    in their span.  A basis of distinct single terms reads each coefficient
+    off its own monomial.  Any other basis reads an element e from the
+    kernel of the integer matrix [basis | e]: with independent basis columns
+    that kernel is empty (e is outside the span) or one-dimensional with a
+    nonzero last entry v[-1], and then e = sum_l (-v[l] / v[-1]) basis[l].
     """
     single = distinct_single_terms(basis)
     if single is not None:
@@ -372,58 +420,18 @@ def _representation_reader(basis: Sequence[AlgebraElement]):
 
         return read
 
-    monomials = sorted({m for f in basis for m in f.terms}, key=monomial_key)
-    rows = [[f.terms.get(m, Fraction(0)) for f in basis] for m in monomials]
-    # Reduced row echelon over the rationals, done once.
-    pivots: List[Tuple[int, int]] = []
-    work = [list(r) + [Fraction(0)] for r in rows]  # last column holds the rhs
-    ncols = len(basis)
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivots.append((r, c))
-        r += 1
-    if len(pivots) < ncols:
+    values = list(basis)
+    if linalg.rank(condition_mod.integer_columns(values)) < len(values):
         raise ValueError(
             "basis values are rationally dependent; representation extraction "
             "is ambiguous for this channel"
         )
-    row_map = {m: i for i, m in enumerate(monomials)}
 
     def read_general(element: AlgebraElement):
-        rhs = [Fraction(0)] * len(monomials)
-        for mono, coeff in element.terms.items():
-            if mono not in row_map:
-                return None
-        for mono, coeff in element.terms.items():
-            rhs[row_map[mono]] = coeff
-        # Solve rows * a = rhs by elimination on a fresh copy (small systems).
-        m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-        rr = 0
-        piv_cols = []
-        for c in range(ncols):
-            pr = next((i for i in range(rr, len(m)) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[rr], m[pr] = m[pr], m[rr]
-            pivot = m[rr][c]
-            for i in range(len(m)):
-                if i != rr and m[i][c]:
-                    factor = m[i][c] / pivot
-                    for jj in range(c, ncols + 1):
-                        m[i][jj] -= factor * m[rr][jj]
-            piv_cols.append(c)
-            rr += 1
-        vec = [Fraction(0)] * ncols
-        for (row_i, col_i) in zip(range(rr), piv_cols):
-            vec[col_i] = m[row_i][ncols] / m[row_i][col_i]
-        for i in range(rr, len(m)):
-            if m[i][ncols]:
-                return None
-        return vec
+        v = linalg.kernel_vector(condition_mod.integer_columns(values + [element]))
+        if v is None:
+            return None
+        return [Fraction(-x, v[-1]) for x in v[:-1]]
 
     return read_general
 
@@ -541,13 +549,7 @@ def dof_lower_bound(
     if not fully_connected(matrix):
         raise ValueError("DoF bound refused: channel is not fully connected")
     if not waive_condition:
-        report = condition_mod.check_all(matrix, d + 1, phi_cap)
-        if not report.independent:
-            raise ConditionNotSatisfiedError(
-                f"rational independence fails at degree {d + 1}; "
-                "pass waive_condition to proceed anyway",
-                report,
-            )
+        condition_mod.require_independent(matrix, d + 1, phi_cap)
     construction = build_w_n(matrix, d, N, cap, phi_cap)
     receivers = tuple(
         _terms_for_receiver(matrix, i, construction, cap)
@@ -597,11 +599,7 @@ def sweep(
     cells = []
     for d in degrees:
         if not waive_condition:
-            report = condition_mod.check_all(matrix, d + 1)
-            if not report.independent:
-                raise ConditionNotSatisfiedError(
-                    f"rational independence fails at degree {d + 1}", report
-                )
+            condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()
             cell = dof_lower_bound(matrix, d, N, waive_condition=True, cap=cap)
@@ -620,31 +618,6 @@ def sweep(
 
 
 # -- the rational example class --------------------------------------------
-
-
-def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
-    """Sliding sums of ``width`` consecutive entries, full overlap-extended."""
-    c = np.concatenate([[0], np.cumsum(arr)])
-    t = np.arange(len(arr) + width - 1)
-    hi = np.minimum(t, len(arr) - 1)
-    lo = np.maximum(t - width + 1, 0)
-    return c[hi + 1] - c[lo]
-
-
-def _convolve_scaled_uniform(counts: np.ndarray, offset: int, h: int, N: int):
-    """Convolve integer counts with the law of h * U, U uniform on {0..N-1}."""
-    if N == 1:
-        return counts, offset
-    s = abs(h)
-    length = len(counts) + s * (N - 1)
-    out = np.zeros(length, dtype=np.int64)
-    for q in range(min(s, len(counts))):
-        sub = counts[q::s]
-        w = _window_sum(sub, N)
-        out[q + s * np.arange(len(w))] = w
-    if h < 0:
-        offset += h * (N - 1)
-    return out, offset
 
 
 @dataclass(frozen=True)
@@ -685,10 +658,6 @@ def rational_example(
                         f"off-diagonal entry h{i + 1}{j + 1} must be nonzero"
                     )
                 h_max = max(h_max, abs(entries[i][j]))
-    if N ** (K - 1) > 2**62:
-        raise CapExceededError(
-            "interference convolution counts", N ** (K - 1), 2**62
-        )
     base = 2 * h_max * K * N
     contraction = Fraction(1, base**2)
     log_inv_r = 2.0 * math.log2(base)
@@ -696,13 +665,9 @@ def rational_example(
     receivers = []
     lo = hi = 0
     for i in range(K):
-        counts = np.ones(1, dtype=np.int64)
-        offset = 0
-        for j in range(K):
-            if j != i:
-                counts, offset = _convolve_scaled_uniform(
-                    counts, offset, entries[i][j], N
-                )
+        counts, offset = _convolve_scaled_uniform(
+            [entries[i][j] for j in range(K) if j != i], N
+        )
         nz = counts[counts > 0]
         h_int = entropy_from_counts(nz.tolist(), int(N ** (K - 1)))
         lo = min(lo, offset)

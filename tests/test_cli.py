@@ -130,6 +130,17 @@ class TestBuildAndBound:
         assert "condition_report" in doc
         assert doc["condition_report"]["independent"] is False
 
+    def test_build_refuses_dependent_channel(self, capsys, rational_file):
+        # build gates at the requested degree, not at d+1 as bound does
+        code, _, err = run(
+            capsys, "build", "--channel", rational_file,
+            "--degree", "1", "--range", "2",
+        )
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["condition_report"]["degree"] == 1
+        assert doc["condition_report"]["independent"] is False
+
     def test_bound_waiver(self, capsys, rational_file):
         code, out, _ = run(
             capsys, "bound", "--channel", rational_file,
@@ -187,6 +198,15 @@ class TestExampleRationalAndFig1:
         assert rep["dof"]["total"] == pytest.approx(rep["closed_form_bound"],
                                                     abs=1e-9)
         assert rep["interference_support"] == [0, 2046]
+
+    def test_example_rational_width_cap(self, capsys):
+        # the dense interference law would be 1 + 2 (N-1) h_max wide
+        code, _, err = run(
+            capsys, "example-rational", "--k", "3", "--hmax", "1000000",
+            "--range", "524288",
+        )
+        assert code == 1
+        assert json.loads(err)["error"].startswith("CapExceededError: ")
 
     def test_fig1(self, capsys):
         code, out, _ = run(capsys, "fig1")

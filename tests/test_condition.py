@@ -229,7 +229,7 @@ class TestDependence:
 class TestRankOracle:
     def test_family_rank_matches_fraction_oracle(self):
         # cross-check the full pipeline rank against independent elimination
-        from icdof.condition import _integer_columns
+        from icdof.condition import integer_columns
 
         for m, d, receiver in [
             (generic_channel(2), 2, 1),
@@ -238,7 +238,7 @@ class TestRankOracle:
             (rational_channel([[2, 1], [1, 3]]), 2, 1),
         ]:
             values = monomial_values(m, d, receiver)
-            rows = _integer_columns(values)
+            rows = integer_columns(values)
             verdict = check_condition_star(m, d, receiver)
             assert verdict.rank == fraction_rank(rows)
             assert verdict.independent == (verdict.rank == len(values))

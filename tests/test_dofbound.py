@@ -272,6 +272,22 @@ class TestContainment:
         with pytest.raises(ValueError):
             containment_check(rational_channel([[1, 0], [1, 1]]), 1, 0, 2)
 
+    @pytest.mark.parametrize("d,N,container,support", [(0, 3, 27, 3), (1, 2, 64, 8)])
+    def test_multi_term_basis(self, d, N, container, support):
+        # h12 = x + 1 makes the degree-(d+1) basis multi-term, so every
+        # support element is read through the kernel of [basis | element]
+        m = load_channel({"K": 2, "generators": ["a", "b", "x", "y"],
+                          "entries": [["a", "x + 1"], ["y", "b"]]})
+        res = containment_check(m, 1, d, N)
+        assert res == dofbound.ContainmentResult(True, container, support)
+
+    def test_dependent_basis_refused(self):
+        # h21 = 2 h12, so the degree-1 basis {1, h12, h21} has rank 2 of 3
+        m = load_channel({"K": 2, "generators": ["a", "b", "x", "y"],
+                          "entries": [["a", "x + y"], ["2*x + 2*y", "b"]]})
+        with pytest.raises(ValueError, match="rationally dependent"):
+            containment_check(m, 1, 0, 2)
+
 
 class TestRatios:
     def test_interference_ratio_bound(self):

@@ -4,24 +4,31 @@ Random small K=2/3 channels of three kinds: single terms on distinct
 generators (the shortcuts always apply), single terms on a shared pool of
 generators (monomials may collide), and entries of up to three terms.  The
 oracles are the tuple enumeration of W_N and Bareiss elimination of the
-receiver family, called directly.
+receiver family, called directly, and the materialized convolution of
+the received sums.
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from icdof import linalg
 from icdof.algebra import AlgebraElement, distinct_single_terms
-from icdof.channel import ChannelMatrix
+from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
-    _integer_columns,
     check_all,
     check_condition_star,
+    integer_columns,
     monomial_values,
 )
-from icdof.dofbound import _enumerate_letters, build_w_n
+from icdof.dofbound import (
+    _coordinate_layout,
+    _enumerate_letters,
+    build_w_n,
+    sum_entropy_stats,
+    sumset_distribution,
+)
 
 KINDS = ("single", "shared", "multi")
 
@@ -118,7 +125,7 @@ class TestStructuralIndependence:
     def test_verdict_and_rank_match_bareiss(self, case):
         kind, matrix, d, receiver = case
         values = monomial_values(matrix, d, receiver)
-        rows = _integer_columns(values)
+        rows = integer_columns(values)
         rank = len(linalg.bareiss_echelon(rows)[1]) if rows else 0
         verdict = check_condition_star(matrix, d, receiver)
         assert verdict.rank == rank
@@ -137,3 +144,35 @@ class TestStructuralIndependence:
         assert report.verdicts == tuple(
             check_condition_star(matrix, d, i) for i in range(1, matrix.K + 1)
         )
+
+
+@st.composite
+def coordinate_cases(draw):
+    """(channel, d, N, receiver, include_diagonal) with a small exact oracle.
+
+    Single-term entries with rational coefficients of either sign.  Only on
+    a shared generator pool can several terms land on one coordinate at
+    these sizes, so that kind is drawn twice as often.
+    """
+    K = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["single", "shared", "shared"]))
+    matrix = draw(channels(kind, K))
+    d = draw(st.integers(0, 2 if K == 2 else 0))
+    N = draw(st.integers(1, 2 if d == 2 else 3 if K == 2 else 4))
+    return matrix, d, N, draw(st.integers(1, K)), draw(st.booleans())
+
+
+class TestCoordinateEntropies:
+    @settings(max_examples=100, deadline=None)
+    @given(coordinate_cases())
+    # one coordinate with mixed denominators and a negative coefficient
+    @example((load_channel({"K": 2, "generators": ["g"], "entries": [
+        ["1/2*g", "-2/3*g"], ["g", "g"]]}), 0, 3, 1, True))
+    def test_coordinate_path_matches_materialized_law(self, case):
+        matrix, d, N, receiver, include_diagonal = case
+        c = build_w_n(matrix, d, N)
+        assume(_coordinate_layout(matrix, receiver, include_diagonal, c) is not None)
+        entropy, support = sum_entropy_stats(matrix, receiver, include_diagonal, c)
+        dist = sumset_distribution(matrix, receiver, include_diagonal, c)
+        assert support == dist.support_size
+        assert abs(entropy - dist.entropy_bits) <= 1e-12
