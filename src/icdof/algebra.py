@@ -59,18 +59,17 @@ def _monomials_of_degree(m: int, deg: int) -> Iterable[Monomial]:
             yield (first,) + rest
 
 
-def enumerate_monomials(
-    m: int, d: int, max_count: int = DEFAULT_MONOMIAL_CAP
-) -> list[Monomial]:
+def enumerate_monomials(m: int, d: int) -> list[Monomial]:
     """All monomials in ``m`` variables of degree <= ``d``, graded-lex sorted.
 
     The constant monomial comes first, and the list for degree ``d`` is a
     prefix of the list for ``d + 1`` (degrees are enumerated in order, each
-    degree internally in lexicographic order).
+    degree internally in lexicographic order).  More than
+    ``DEFAULT_MONOMIAL_CAP`` monomials are refused before any is built.
     """
     total = monomial_count(m, d)
-    if total > max_count:
-        raise CapExceededError("monomial enumeration", total, max_count)
+    if total > DEFAULT_MONOMIAL_CAP:
+        raise CapExceededError("monomial enumeration", total, DEFAULT_MONOMIAL_CAP)
     out: list[Monomial] = []
     for deg in range(d + 1):
         out.extend(_monomials_of_degree(m, deg))
@@ -143,10 +142,6 @@ class AlgebraElement:
         exps[index] = 1
         return cls(ngens, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exponents: Monomial, coeff=1) -> "AlgebraElement":
-        return cls(len(exponents), {tuple(exponents): Fraction(coeff)})
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -171,12 +166,6 @@ class AlgebraElement:
         if len(self._terms) == 1:
             return next(iter(self._terms.items()))
         return None
-
-    def degree(self) -> int:
-        """Total degree (0 for the zero element)."""
-        if not self._terms:
-            return 0
-        return max(monomial_degree(m) for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -8,11 +8,13 @@ where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
 into exact polynomials in the channel generators; independence over the
 rationals is then an integer rank question, decided by fraction-free
-elimination.  A family of single terms with pairwise distinct monomials
-(every entry its own generator, the generic case) is independent on sight,
-since distinct monomials are linearly independent over Q, and skips the
-elimination.  A failed check returns an explicit integer certificate that
-substitutes back to the exact zero polynomial.
+elimination (which refuses a family longer than
+``linalg.ELIMINATION_COLUMN_CAP``).  A family of single terms with pairwise
+distinct monomials (every entry its own generator, the generic case) is
+independent on sight, since distinct monomials are linearly independent
+over Q, and skips the elimination, so only the monomial enumeration's cap
+applies to it.  A failed check returns an explicit integer certificate
+that substitutes back to the exact zero polynomial.
 
 An "independent" verdict is certified only up to the tested degree.
 """
@@ -28,23 +30,16 @@ from .algebra import (
     AlgebraElement,
     distinct_single_terms,
     enumerate_monomials,
-    monomial_count,
     monomial_key,
 )
 from .channel import ChannelMatrix, off_diagonal
-from .errors import CapExceededError, ConditionNotSatisfiedError
+from .errors import ConditionNotSatisfiedError
 from . import linalg
 
-#: Cap on phi(d), the per-receiver family is twice this long.
-DEFAULT_PHI_CAP = 2000
 
-
-def basis_values(matrix: ChannelMatrix, d: int, phi_cap: int = DEFAULT_PHI_CAP):
+def basis_values(matrix: ChannelMatrix, d: int):
     """The values f_1(h), ..., f_phi(h) as exact polynomials in the generators."""
     nvars = matrix.K * (matrix.K - 1)
-    phi = monomial_count(nvars, d)
-    if phi > phi_cap:
-        raise CapExceededError("monomial family phi(d)", phi, phi_cap)
     check_h = off_diagonal(matrix)
     values = []
     for mono in enumerate_monomials(nvars, d):
@@ -57,10 +52,10 @@ def basis_values(matrix: ChannelMatrix, d: int, phi_cap: int = DEFAULT_PHI_CAP):
 
 
 def monomial_values(
-    matrix: ChannelMatrix, d: int, receiver: int, phi_cap: int = DEFAULT_PHI_CAP
+    matrix: ChannelMatrix, d: int, receiver: int
 ) -> List[AlgebraElement]:
     """The length-2*phi(d) family for one receiver (1-based index)."""
-    return _receiver_family(matrix, receiver, basis_values(matrix, d, phi_cap))
+    return _receiver_family(matrix, receiver, basis_values(matrix, d))
 
 
 def _receiver_family(
@@ -141,33 +136,29 @@ def check_condition_star(
     matrix: ChannelMatrix,
     d: int,
     receiver: int,
-    phi_cap: int = DEFAULT_PHI_CAP,
     *,
     basis: List[AlgebraElement] | None = None,
 ) -> ReceiverVerdict:
     """Decide independence of the receiver family up to degree ``d``.
 
-    ``basis`` is ``basis_values(matrix, d, phi_cap)`` when the caller already
-    has it.  A family of single terms with pairwise distinct monomials is
-    independent with rank 2*phi without elimination: distinct monomials are
-    linearly independent over Q, so the integer matrix has one nonzero per
-    column, each in its own row.  Every other family goes through Bareiss.
+    ``basis`` is ``basis_values(matrix, d)`` when the caller already has it.
+    A family of single terms with pairwise distinct monomials is independent
+    with rank 2*phi without elimination: distinct monomials are linearly
+    independent over Q, so the integer matrix has one nonzero per column,
+    each in its own row.  Every other family goes through Bareiss, which
+    raises :class:`CapExceededError` for a family longer than
+    ``linalg.ELIMINATION_COLUMN_CAP``.  The integer matrix always has a row:
+    the first basis value is the constant monomial 1.
     """
     if basis is None:
-        basis = basis_values(matrix, d, phi_cap)
+        basis = basis_values(matrix, d)
     values = _receiver_family(matrix, receiver, basis)
     phi = len(values) // 2
     if distinct_single_terms(values) is not None:
         return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
-    rows = integer_columns(values)
-    if not rows:
-        # All values are the zero polynomial (degenerate all-zero matrix row).
-        kernel = [1] + [0] * (2 * phi - 1)
-        matrix_rank = 0
-    else:
-        echelon, pivots = linalg.bareiss_echelon(rows)
-        matrix_rank = len(pivots)
-        kernel = linalg.kernel_from_echelon(echelon, pivots, 2 * phi)
+    echelon, pivots = linalg.bareiss_echelon(integer_columns(values))
+    matrix_rank = len(pivots)
+    kernel = linalg.kernel_from_echelon(echelon, pivots, 2 * phi)
     if kernel is None:
         return ReceiverVerdict(receiver, d, True, matrix_rank, 2 * phi)
     certificate = DependenceCertificate(
@@ -176,24 +167,20 @@ def check_condition_star(
     return ReceiverVerdict(receiver, d, False, matrix_rank, 2 * phi, certificate)
 
 
-def check_all(
-    matrix: ChannelMatrix, d: int, phi_cap: int = DEFAULT_PHI_CAP
-) -> ConditionReport:
+def check_all(matrix: ChannelMatrix, d: int) -> ConditionReport:
     """Aggregate :func:`check_condition_star` over all receivers.
 
     The basis values are shared by every receiver, so they are built once.
     """
-    basis = basis_values(matrix, d, phi_cap)
+    basis = basis_values(matrix, d)
     verdicts = tuple(
-        check_condition_star(matrix, d, i, phi_cap, basis=basis)
+        check_condition_star(matrix, d, i, basis=basis)
         for i in range(1, matrix.K + 1)
     )
     return ConditionReport(d, verdicts)
 
 
-def require_independent(
-    matrix: ChannelMatrix, degree: int, phi_cap: int = DEFAULT_PHI_CAP
-) -> None:
+def require_independent(matrix: ChannelMatrix, degree: int) -> None:
     """The condition gate: raise unless every receiver family is independent.
 
     Raises :class:`ConditionNotSatisfiedError` carrying the
@@ -209,7 +196,7 @@ def require_independent(
     The degree-(d+1) family contains the degree-d one, so passing the
     bound's gate implies passing the build's.
     """
-    report = check_all(matrix, degree, phi_cap)
+    report = check_all(matrix, degree)
     if not report.independent:
         raise ConditionNotSatisfiedError(
             f"rational independence fails at degree {degree}; "

@@ -10,7 +10,11 @@ W_N is enumerated only when its letters are needed.  When the basis values
 are single terms with pairwise distinct monomials (every entry its own
 generator, the generic case), |W_N| = N^phi is read off the basis and the
 letters stay unenumerated until something iterates over them; the
-coordinate decomposition below never does.
+coordinate decomposition below never does.  The support cap
+``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized: before
+enumerating the N^phi letter combinations, while convolving a sumset, and
+before allocating a dense scaled-uniform law.  So the size of a lazy W_N
+is not capped at all.
 
 Entropies are computed either by exact convolution keyed on canonical
 polynomial values, or (for channels whose entries are single-term, e.g. the
@@ -54,7 +58,7 @@ from . import condition as condition_mod
 from . import linalg
 from .ifs import IFSSpec
 
-#: Default cap on materialized support sizes (alphabets and sum supports).
+#: Cap on materialized support sizes (alphabets and sum supports).
 DEFAULT_SUPPORT_CAP = 10**7
 
 #: Per-run caveat attached to reports: the dimension formula is evaluated at
@@ -129,7 +133,15 @@ class InputConstruction:
 def _enumerate_letters(
     basis: Sequence[AlgebraElement], N: int, ngens: int
 ) -> Tuple[AlgebraElement, ...]:
-    """Every sum_i a_i f_i(h) with a_i in {1..N}, deduplicated exactly."""
+    """Every sum_i a_i f_i(h) with a_i in {1..N}, deduplicated exactly.
+
+    The N^phi combinations are checked against the support cap first.
+    """
+    nominal = N ** len(basis)
+    if nominal > DEFAULT_SUPPORT_CAP:
+        raise CapExceededError(
+            "W_N enumeration (N^phi(d) combinations)", nominal, DEFAULT_SUPPORT_CAP
+        )
     elements = {AlgebraElement.zero(ngens)}
     for f in basis:
         scaled = [f.scale(a) for a in range(1, N + 1)]
@@ -137,13 +149,7 @@ def _enumerate_letters(
     return tuple(elements)
 
 
-def build_w_n(
-    matrix: ChannelMatrix,
-    d: int,
-    N: int,
-    cap: int = DEFAULT_SUPPORT_CAP,
-    phi_cap: int = condition_mod.DEFAULT_PHI_CAP,
-) -> InputConstruction:
+def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     """W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup.
 
     When the basis values f_i = c_i m_i are single terms with pairwise
@@ -151,25 +157,25 @@ def build_w_n(
     a_i c_i on m_i, so each a_i is read back as (coefficient of m_i) / c_i.
     Distinct coefficient vectors therefore give distinct letters, |W_N| =
     N^phi and the representation is unique, with nothing enumerated.  The
-    letters are enumerated on first iteration.  Any other basis is
-    enumerated here and deduplicated exactly.  The nominal size N^phi is
-    capped either way.
+    letters are enumerated on first iteration, and only then is N^phi
+    checked against the support cap.  Any other basis is enumerated here,
+    so its N^phi is capped at once, and deduplicated exactly.
     """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
-    basis = tuple(condition_mod.basis_values(matrix, d, phi_cap))
+    basis = tuple(condition_mod.basis_values(matrix, d))
     nominal = N ** len(basis)
-    if nominal > cap:
-        raise CapExceededError("W_N enumeration (N^phi(d) combinations)", nominal, cap)
     enumerate_ = functools.partial(
         _enumerate_letters, basis, N, len(matrix.generators)
     )
     if distinct_single_terms(basis) is not None:
+        # Not len(elements): len() cannot exceed sys.maxsize.
+        cardinality = nominal
         elements = Letters(nominal, enumerate_)
     else:
         items = enumerate_()
-        elements = Letters(len(items), lambda: items)
-    cardinality = len(elements)
+        cardinality = len(items)
+        elements = Letters(cardinality, lambda: items)
     return InputConstruction(
         degree=d,
         coeff_range=N,
@@ -234,7 +240,6 @@ def sumset_distribution(
     receiver: int,
     include_diagonal: bool,
     construction: InputConstruction,
-    cap: int = DEFAULT_SUPPORT_CAP,
 ) -> SumsetDistribution:
     """Law of sum_j h_ij W_j over independent uniform letters, by convolution."""
     ngens = len(matrix.generators)
@@ -248,8 +253,8 @@ def sumset_distribution(
             for y in addends:
                 key = x + y
                 new[key] = new.get(key, 0) + cx
-            if len(new) > cap:
-                raise CapExceededError("sumset support", len(new), cap)
+            if len(new) > DEFAULT_SUPPORT_CAP:
+                raise CapExceededError("sumset support", len(new), DEFAULT_SUPPORT_CAP)
         counts = new
         total *= construction.cardinality
     return SumsetDistribution(counts, total)
@@ -295,19 +300,17 @@ def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
     return c[hi + 1] - c[lo]
 
 
-def _convolve_scaled_uniform(
-    coeffs: Sequence[int], N: int, cap: int = DEFAULT_SUPPORT_CAP
-) -> Tuple[np.ndarray, int]:
+def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> Tuple[np.ndarray, int]:
     """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t nonzero ints.
 
     Returns ``(counts, offset)``: ``counts[k]`` is the number of tuples whose
     sum is ``offset + k``.  The dense width 1 + (N-1) sum_t |c_t| is checked
-    against ``cap``, and the total N^T against what int64 counts hold, before
-    anything is allocated.
+    against the support cap, and the total N^T against what int64 counts
+    hold, before anything is allocated.
     """
     width = 1 + (N - 1) * sum(abs(c) for c in coeffs)
-    if width > cap:
-        raise CapExceededError("scaled-uniform sum width", width, cap)
+    if width > DEFAULT_SUPPORT_CAP:
+        raise CapExceededError("scaled-uniform sum width", width, DEFAULT_SUPPORT_CAP)
     if N ** len(coeffs) > 2**62:
         raise CapExceededError("scaled-uniform sum counts", N ** len(coeffs), 2**62)
     counts = np.ones(1, dtype=np.int64)
@@ -329,21 +332,20 @@ def sum_entropy_stats(
     receiver: int,
     include_diagonal: bool,
     construction: InputConstruction,
-    cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Tuple[float, int]:
     """(entropy in bits, exact support cardinality) of the received sum.
 
     Uses the coordinate decomposition when eligible, else materializes the
-    exact convolution (subject to ``cap``).  A coordinate sum_t c_t U_t with
-    U_t uniform on {1..N} is a shift of the same sum over {0..N-1}, and
-    rescaling every c_t by lcm(denominators) / gcd(numerators) is a
-    bijection onto a sum with coprime integer coefficients; neither changes
-    the multiset of counts, so the entropy and support are read off the
-    integer kernel.
+    exact convolution (subject to the support cap).  A coordinate
+    sum_t c_t U_t with U_t uniform on {1..N} is a shift of the same sum over
+    {0..N-1}, and rescaling every c_t by lcm(denominators) / gcd(numerators)
+    is a bijection onto a sum with coprime integer coefficients; neither
+    changes the multiset of counts, so the entropy and support are read off
+    the integer kernel.
     """
     layout = _coordinate_layout(matrix, receiver, include_diagonal, construction)
     if layout is None:
-        dist = sumset_distribution(matrix, receiver, include_diagonal, construction, cap)
+        dist = sumset_distribution(matrix, receiver, include_diagonal, construction)
         return dist.entropy_bits, dist.support_size
     N = construction.coeff_range
     entropy = 0.0
@@ -354,7 +356,7 @@ def sum_entropy_stats(
             math.lcm(*(c.denominator for c in coeffs)),
             math.gcd(*(c.numerator for c in coeffs)),
         )
-        counts, _ = _convolve_scaled_uniform([int(c * scale) for c in coeffs], N, cap)
+        counts, _ = _convolve_scaled_uniform([int(c * scale) for c in coeffs], N)
         nz = counts[counts > 0]
         entropy += entropy_from_counts(nz.tolist(), N ** len(coeffs))
         support *= len(nz)
@@ -362,10 +364,7 @@ def sum_entropy_stats(
 
 
 def separability_check(
-    matrix: ChannelMatrix,
-    receiver: int,
-    construction: InputConstruction,
-    cap: int = DEFAULT_SUPPORT_CAP,
+    matrix: ChannelMatrix, receiver: int, construction: InputConstruction
 ) -> bool:
     """True iff (u, v) -> u + v is injective on desired-signal x interference.
 
@@ -374,12 +373,8 @@ def separability_check(
     h_ii * W_N always has |W_N| distinct values (multiplication by a nonzero
     polynomial is injective).
     """
-    _, full_support = sum_entropy_stats(
-        matrix, receiver, True, construction, cap
-    )
-    _, interference_support = sum_entropy_stats(
-        matrix, receiver, False, construction, cap
-    )
+    _, full_support = sum_entropy_stats(matrix, receiver, True, construction)
+    _, interference_support = sum_entropy_stats(matrix, receiver, False, construction)
     return full_support == construction.cardinality * interference_support
 
 
@@ -437,11 +432,7 @@ def _representation_reader(basis: Sequence[AlgebraElement]):
 
 
 def containment_check(
-    matrix: ChannelMatrix,
-    receiver: int,
-    d: int,
-    N: int,
-    cap: int = DEFAULT_SUPPORT_CAP,
+    matrix: ChannelMatrix, receiver: int, d: int, N: int
 ) -> ContainmentResult:
     """Verify the interference support embeds in the degree-(d+1) lattice box.
 
@@ -453,8 +444,8 @@ def containment_check(
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
-    construction = build_w_n(matrix, d, N, cap)
-    dist = sumset_distribution(matrix, receiver, False, construction, cap)
+    construction = build_w_n(matrix, d, N)
+    dist = sumset_distribution(matrix, receiver, False, construction)
     basis_next = condition_mod.basis_values(matrix, d + 1)
     read = _representation_reader(basis_next)
     bound = (matrix.K - 1) * N
@@ -518,11 +509,9 @@ def ratio_limit(K: int, d: int) -> float:
     return (K * (K - 1) + d + 1) / (d + 1)
 
 
-def _terms_for_receiver(
-    matrix, receiver, construction, cap
-) -> ReceiverTerms:
-    h_full, _ = sum_entropy_stats(matrix, receiver, True, construction, cap)
-    h_int, _ = sum_entropy_stats(matrix, receiver, False, construction, cap)
+def _terms_for_receiver(matrix, receiver, construction) -> ReceiverTerms:
+    h_full, _ = sum_entropy_stats(matrix, receiver, True, construction)
+    h_int, _ = sum_entropy_stats(matrix, receiver, False, construction)
     log_inv_r = construction.log_inv_r
     if log_inv_r == 0.0:
         term_full = term_int = 0.0
@@ -537,8 +526,6 @@ def dof_lower_bound(
     d: int,
     N: int,
     waive_condition: bool = False,
-    cap: int = DEFAULT_SUPPORT_CAP,
-    phi_cap: int = condition_mod.DEFAULT_PHI_CAP,
 ) -> DofReport:
     """Per-receiver dimension terms and the total DoF lower bound at (d, N).
 
@@ -549,10 +536,10 @@ def dof_lower_bound(
     if not fully_connected(matrix):
         raise ValueError("DoF bound refused: channel is not fully connected")
     if not waive_condition:
-        condition_mod.require_independent(matrix, d + 1, phi_cap)
-    construction = build_w_n(matrix, d, N, cap, phi_cap)
+        condition_mod.require_independent(matrix, d + 1)
+    construction = build_w_n(matrix, d, N)
     receivers = tuple(
-        _terms_for_receiver(matrix, i, construction, cap)
+        _terms_for_receiver(matrix, i, construction)
         for i in range(1, matrix.K + 1)
     )
     total = sum(t.contribution for t in receivers)
@@ -587,7 +574,6 @@ def sweep(
     degrees: Sequence[int],
     ranges: Sequence[int],
     waive_condition: bool = False,
-    cap: int = DEFAULT_SUPPORT_CAP,
 ) -> List[SweepCell]:
     """Grid of dof_lower_bound cells; the condition is checked once per degree.
 
@@ -602,7 +588,7 @@ def sweep(
             condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()
-            cell = dof_lower_bound(matrix, d, N, waive_condition=True, cap=cap)
+            cell = dof_lower_bound(matrix, d, N, waive_condition=True)
             cells.append(
                 SweepCell(
                     degree=d,

@@ -117,10 +117,7 @@ class OverlapPair:
 
 
 def exact_overlap_search(
-    spec: IFSSpec,
-    max_depth: int,
-    tolerance=0,
-    pair_cap: int = DEFAULT_PAIR_CAP,
+    spec: IFSSpec, max_depth: int, tolerance=0
 ) -> List[OverlapPair]:
     """Pairs of distinct equal-length words (depth <= max_depth) with |Delta| <= tolerance.
 
@@ -135,11 +132,9 @@ def exact_overlap_search(
         raise ValueError("tolerance must be >= 0")
     n = spec.n
     total_pairs = sum(n**L * (n**L - 1) // 2 for L in range(1, max_depth + 1))
-    if total_pairs > pair_cap:
+    if total_pairs > DEFAULT_PAIR_CAP:
         raise CapExceededError(
-            "overlap word pairs (reduce max_depth or raise pair_cap)",
-            total_pairs,
-            pair_cap,
+            "overlap word pairs (reduce max_depth)", total_pairs, DEFAULT_PAIR_CAP
         )
     exact = spec.is_rational() and tolerance == 0
     atoms = spec.atoms if exact else [float(a) for a in spec.atoms]

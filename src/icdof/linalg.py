@@ -2,7 +2,9 @@
 
 Operates on dense integer matrices given as lists of row lists.  Row
 operations only, so the null space of the matrix is preserved, which is what
-the dependence-certificate extraction relies on.
+the dependence-certificate extraction relies on.  Elimination is cubic in
+the matrix size, so a matrix wider than ``ELIMINATION_COLUMN_CAP`` is
+refused before any work.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
 
+from .errors import CapExceededError
+
+#: Cap on the columns of a matrix handed to :func:`bareiss_echelon`.
+ELIMINATION_COLUMN_CAP = 4000
+
 
 def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Row echelon form via fraction-free (Bareiss) elimination.
@@ -18,10 +25,14 @@ def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]
     Returns ``(echelon, pivot_cols)``; all intermediate entries stay integers.
     The input is not modified.
     """
-    m = [list(row) for row in matrix]
-    if not m:
+    if not matrix:
         return [], []
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(matrix), len(matrix[0])
+    if cols > ELIMINATION_COLUMN_CAP:
+        raise CapExceededError(
+            "Bareiss elimination columns", cols, ELIMINATION_COLUMN_CAP
+        )
+    m = [list(row) for row in matrix]
     pivot_cols: List[int] = []
     prev_pivot = 1
     r = 0

@@ -12,6 +12,7 @@ from icdof.algebra import (
     monomial_key,
 )
 from icdof.errors import CapExceededError
+from icdof import algebra
 
 
 def brute_force_count(m, d):
@@ -62,9 +63,14 @@ class TestEnumerateMonomials:
         longer = enumerate_monomials(m, d + 1)
         assert longer[: len(shorter)] == shorter
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # C(36, 6) = 1,947,792 monomials: refused before any is built.
+        def refuse(*args):
+            raise AssertionError("monomials were enumerated")
+
+        monkeypatch.setattr(algebra, "_monomials_of_degree", refuse)
         with pytest.raises(CapExceededError):
-            enumerate_monomials(6, 2, max_count=10)
+            enumerate_monomials(30, 6)
 
 
 def fractions_strategy():

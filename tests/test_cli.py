@@ -120,6 +120,17 @@ class TestBuildAndBound:
         assert rep["log_inv_r"] == pytest.approx(14.0)
         assert rep["notes"]
 
+    def test_bound_past_degree_one(self, capsys, generic_file):
+        # |W_N| = 2^28 is sized from the basis and never enumerated.
+        code, out, _ = run(
+            capsys, "bound", "--channel", generic_file,
+            "--degree", "2", "--range", "2",
+        )
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["cardinality"] == 2**28
+        assert rep["total"] == pytest.approx(0.1875, abs=1e-12)
+
     def test_bound_refuses_dependent_channel(self, capsys, rational_file):
         code, _, err = run(
             capsys, "bound", "--channel", rational_file,

@@ -117,9 +117,19 @@ class TestMonomialFamily:
         with pytest.raises(ValueError):
             monomial_values(generic_channel(2), 1, 3)
 
-    def test_phi_cap(self):
+    def test_phi_cap(self, monkeypatch):
+        # The cap sits on the elimination: a family of 2*phi(2) = 12 values
+        # is refused when it needs Bareiss and passes when it is structural.
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 10)
+        shared = load_channel({
+            "K": 2,
+            "generators": ["g", "h11", "h22"],
+            "entries": [["h11", "g"], ["g", "h22"]],
+        })
         with pytest.raises(CapExceededError):
-            basis_values(generic_channel(3), 2, phi_cap=10)
+            check_condition_star(shared, 2, 1)
+        verdict = check_condition_star(generic_channel(2), 2, 1)
+        assert verdict.independent and verdict.family_size == 12
 
 
 class TestGenericIndependence:

@@ -32,6 +32,13 @@ from icdof.dofbound import (
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
 from icdof import dofbound
 
+#: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
+SHARED_GENERATOR_K2 = {
+    "K": 2,
+    "generators": ["g", "h11", "h22"],
+    "entries": [["h11", "g"], ["g", "h22"]],
+}
+
 
 def brute_force_sum_counts(matrix, receiver, include_diagonal, construction):
     """Oracle: enumerate all letter tuples and tally the exact sums."""
@@ -95,12 +102,7 @@ class TestBuildWN:
     def test_collision_when_generators_shared(self):
         # h12 = h21 = g: the two degree-1 basis values coincide, so
         # 1*g + 2*g collides with 2*g + 1*g and cardinality drops
-        doc = {
-            "K": 2,
-            "generators": ["g", "h11", "h22"],
-            "entries": [["h11", "g"], ["g", "h22"]],
-        }
-        c = build_w_n(load_channel(doc), 1, 2)
+        c = build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 2)
         assert c.cardinality < 2**3
         assert not c.unique_representation
 
@@ -118,8 +120,14 @@ class TestBuildWN:
         assert set(c.elements) == direct
 
     def test_cap(self):
+        # A lazy W_N is sized without the cap and refused when iterated.
+        c = build_w_n(generic_channel(3), 1, 100)
+        assert c.cardinality == 100**7
         with pytest.raises(CapExceededError):
-            build_w_n(generic_channel(3), 1, 100)
+            iter(c.elements)
+        # A basis with collisions is enumerated, so it is refused at build.
+        with pytest.raises(CapExceededError):
+            build_w_n(load_channel(SHARED_GENERATOR_K2), 3, 100)
 
     def test_distinct_single_terms_not_enumerated(self, monkeypatch):
         def refuse(*args):
@@ -135,12 +143,7 @@ class TestBuildWN:
             next(iter(c.elements))
 
     def test_collisions_enumerated_eagerly(self, monkeypatch):
-        doc = {
-            "K": 2,
-            "generators": ["g", "h11", "h22"],
-            "entries": [["h11", "g"], ["g", "h22"]],
-        }
-        c = build_w_n(load_channel(doc), 1, 2)
+        c = build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 2)
         monkeypatch.setattr(dofbound, "_enumerate_letters", None)
         assert len(list(c.elements)) == c.cardinality == 6
 
@@ -198,11 +201,13 @@ class TestSumsetDistribution:
         assert dist.support_size == 3
         assert dist.entropy_bits == pytest.approx(1.5, abs=1e-15)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         m = generic_channel(3)
         c = build_w_n(m, 1, 2)
-        with pytest.raises(CapExceededError):
-            sumset_distribution(m, 1, True, c, cap=100)
+        assert len(list(c.elements)) == 128  # enumerated under the real cap
+        monkeypatch.setattr(dofbound, "DEFAULT_SUPPORT_CAP", 100)
+        with pytest.raises(CapExceededError, match="sumset support"):
+            sumset_distribution(m, 1, True, c)
 
 
 class TestFastPathAgreement:
@@ -313,6 +318,25 @@ class TestDofLowerBound:
         for t in report.receivers:
             assert t.entropy_full_bits == pytest.approx(20.5, abs=1e-12)
             assert t.entropy_interference_bits == pytest.approx(13.5, abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_generic_k3_n2_closed_form(self, d):
+        # At N=2 an interference coordinate of receiver i is divisible by
+        # h_ij for one interferer j (a single uniform bit, 1 bit) or by both
+        # (U + U', 1.5 bits); phi(d-1) coordinates are of the second kind
+        # and 2(phi(d) - phi(d-1)) of the first, so H_int = 2 phi(d) -
+        # phi(d-1)/2 against log2(1/r) = 2 phi(d).  term_full clips to 1 and
+        # each receiver contributes phi(d-1) / (4 phi(d)) = d / (4(d+6)).
+        # From d=3 on |W_N| = 2^phi(d) exceeds what len() can return.
+        phi = monomial_count(6, d)
+        phi_prev = monomial_count(6, d - 1) if d else 0
+        report = dof_lower_bound(generic_channel(3), d, 2)
+        assert report.cardinality == 2**phi
+        for t in report.receivers:
+            assert t.entropy_interference_bits == pytest.approx(
+                2 * phi - phi_prev / 2, abs=1e-9
+            )
+        assert report.total == pytest.approx(3 * d / (4 * (d + 6)), abs=1e-12)
 
     def test_degree_zero_total_vanishes(self):
         # at d=0, log2(1/r) = 2 log2 N and H_int = (K-1) log2 N, so for K >= 3
