@@ -20,8 +20,9 @@ from .errors import CapExceededError
 
 Monomial = Tuple[int, ...]
 
-#: Default cap on monomial enumerations (see :func:`enumerate_monomials`).
-DEFAULT_MONOMIAL_CAP = 10**6
+#: Cap on monomial enumerations, sized by the exact values built from them:
+#: ``check`` on generic K=3 at d=16 (74,613 monomials) takes 21 s and 120 MB.
+DEFAULT_MONOMIAL_CAP = 10**5
 
 
 def monomial_degree(mono: Monomial) -> int:

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, condition, dimest, dofbound, ifs
+from .algebra import monomial_count
 from .channel import load_channel_file
 from .errors import CapExceededError, ChannelFormatError, ConditionNotSatisfiedError
 from .ifs import IFSSpec
@@ -173,6 +175,16 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _require_printable(matrix, d: int, N: int, power: int) -> None:
+    """Refuse, before any work, a report whose |W_N|**power <= N^(power*phi)
+    has more decimal digits than Python converts to a string."""
+    limit = sys.get_int_max_str_digits()
+    phi = monomial_count(matrix.K * (matrix.K - 1), d)
+    digits = math.floor(power * phi * math.log10(max(N, 1))) + 1
+    if limit and digits > limit:
+        raise CapExceededError(f"decimal digits of |W_N|^{power}", digits, limit)
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -196,6 +208,7 @@ def cmd_check(args) -> int:
 def cmd_build(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
+    _require_printable(matrix, args.degree, args.range, 2)
     if not args.waive_condition:
         condition.require_independent(matrix, args.degree)
     construction = dofbound.build_w_n(matrix, args.degree, args.range)
@@ -224,6 +237,7 @@ def cmd_build(args) -> int:
 def cmd_bound(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
+    _require_printable(matrix, args.degree, args.range, 2)
     report = dofbound.dof_lower_bound(
         matrix, args.degree, args.range, waive_condition=args.waive_condition
     )
@@ -243,11 +257,12 @@ def cmd_bound(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
+    degrees, ranges = _int_list(args.degrees), _int_list(args.ranges)
+    for d in degrees:
+        for N in ranges:
+            _require_printable(matrix, d, N, 1)
     cells = dofbound.sweep(
-        matrix,
-        _int_list(args.degrees),
-        _int_list(args.ranges),
-        waive_condition=args.waive_condition,
+        matrix, degrees, ranges, waive_condition=args.waive_condition
     )
     manifest = _manifest(
         "sweep",

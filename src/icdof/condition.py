@@ -8,13 +8,13 @@ where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
 into exact polynomials in the channel generators; independence over the
 rationals is then an integer rank question, decided by fraction-free
-elimination (which refuses a family longer than
-``linalg.ELIMINATION_COLUMN_CAP``).  A family of single terms with pairwise
-distinct monomials (every entry its own generator, the generic case) is
-independent on sight, since distinct monomials are linearly independent
-over Q, and skips the elimination, so only the monomial enumeration's cap
-applies to it.  A failed check returns an explicit integer certificate
-that substitutes back to the exact zero polynomial.
+elimination; a family longer than ``linalg.ELIMINATION_COLUMN_CAP`` is
+refused before its matrix (or a product of multi-term entries) is built.
+A family of single terms with pairwise distinct monomials (every entry its
+own generator, the generic case) is independent on sight, since distinct
+monomials are linearly independent over Q, and skips the elimination and
+its cap.  A failed check returns an explicit integer certificate that
+substitutes back to the exact zero polynomial.
 
 An "independent" verdict is certified only up to the tested degree.
 """
@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraElement,
     distinct_single_terms,
     enumerate_monomials,
+    monomial_count,
     monomial_key,
 )
 from .channel import ChannelMatrix, off_diagonal
@@ -38,9 +39,15 @@ from . import linalg
 
 
 def basis_values(matrix: ChannelMatrix, d: int):
-    """The values f_1(h), ..., f_phi(h) as exact polynomials in the generators."""
+    """The values f_1(h), ..., f_phi(h) as exact polynomials in the generators.
+
+    Unless every entry is a single term, the values will need elimination,
+    so the elimination cap is checked before any product is expanded.
+    """
     nvars = matrix.K * (matrix.K - 1)
     check_h = off_diagonal(matrix)
+    if any(entry.single_term() is None for entry in check_h):
+        linalg.check_columns(2 * monomial_count(nvars, d))
     values = []
     for mono in enumerate_monomials(nvars, d):
         value = AlgebraElement.constant(len(matrix.generators), 1)
@@ -145,10 +152,10 @@ def check_condition_star(
     A family of single terms with pairwise distinct monomials is independent
     with rank 2*phi without elimination: distinct monomials are linearly
     independent over Q, so the integer matrix has one nonzero per column,
-    each in its own row.  Every other family goes through Bareiss, which
-    raises :class:`CapExceededError` for a family longer than
-    ``linalg.ELIMINATION_COLUMN_CAP``.  The integer matrix always has a row:
-    the first basis value is the constant monomial 1.
+    each in its own row.  Every other family is refused past
+    ``linalg.ELIMINATION_COLUMN_CAP`` before its integer matrix is built,
+    and otherwise goes through Bareiss.  That matrix always has a row: the
+    first basis value is the constant monomial 1.
     """
     if basis is None:
         basis = basis_values(matrix, d)
@@ -156,6 +163,7 @@ def check_condition_star(
     phi = len(values) // 2
     if distinct_single_terms(values) is not None:
         return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
+    linalg.check_columns(2 * phi)
     echelon, pivots = linalg.bareiss_echelon(integer_columns(values))
     matrix_rank = len(pivots)
     kernel = linalg.kernel_from_echelon(echelon, pivots, 2 * phi)

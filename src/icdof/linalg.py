@@ -4,7 +4,8 @@ Operates on dense integer matrices given as lists of row lists.  Row
 operations only, so the null space of the matrix is preserved, which is what
 the dependence-certificate extraction relies on.  Elimination is cubic in
 the matrix size, so a matrix wider than ``ELIMINATION_COLUMN_CAP`` is
-refused before any work.
+refused before any work; a caller that builds the matrix calls
+:func:`check_columns` first, so a refused matrix is never allocated.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from .errors import CapExceededError
 ELIMINATION_COLUMN_CAP = 4000
 
 
+def check_columns(cols: int) -> None:
+    """Refuse an elimination over more than ``ELIMINATION_COLUMN_CAP`` columns."""
+    if cols > ELIMINATION_COLUMN_CAP:
+        raise CapExceededError(
+            "Bareiss elimination columns", cols, ELIMINATION_COLUMN_CAP
+        )
+
+
 def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Row echelon form via fraction-free (Bareiss) elimination.
 
@@ -28,10 +37,7 @@ def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]
     if not matrix:
         return [], []
     rows, cols = len(matrix), len(matrix[0])
-    if cols > ELIMINATION_COLUMN_CAP:
-        raise CapExceededError(
-            "Bareiss elimination columns", cols, ELIMINATION_COLUMN_CAP
-        )
+    check_columns(cols)
     m = [list(row) for row in matrix]
     pivot_cols: List[int] = []
     prev_pivot = 1

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 from icdof.channel import generic_channel, store_channel
+from icdof import condition, dofbound
 from icdof.cli import main, parse_ifs_spec
 
 CANTOR_SPEC = '{"r": "1/3", "atoms": [0, 2]}'
@@ -131,6 +132,28 @@ class TestBuildAndBound:
         assert rep["cardinality"] == 2**28
         assert rep["total"] == pytest.approx(0.1875, abs=1e-12)
 
+    @pytest.mark.parametrize("command, degree, rng", [
+        ("bound", "10", "2"),
+        ("bound", "8", "100"),
+        ("build", "8", "100"),
+    ])
+    def test_unprintable_contraction_refused_first(
+        self, capsys, generic_file, monkeypatch, command, degree, rng
+    ):
+        # |W_N|^2 = N^(2 phi(d)) has more decimal digits than Python prints,
+        # so the report could not be written: refused before any work.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done for an unprintable report")
+
+        monkeypatch.setattr(condition, "check_all", refuse)
+        monkeypatch.setattr(dofbound, "build_w_n", refuse)
+        code, _, err = run(
+            capsys, command, "--channel", generic_file,
+            "--degree", degree, "--range", rng,
+        )
+        assert code == 1
+        assert "CapExceededError" in err and "digits" in err
+
     def test_bound_refuses_dependent_channel(self, capsys, rational_file):
         code, _, err = run(
             capsys, "bound", "--channel", rational_file,
@@ -194,6 +217,22 @@ class TestSweep:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unprintable_cell_refused_before_any_cell(
+        self, capsys, generic_file, monkeypatch
+    ):
+        # The d=12 cell's |W_N| = 2^18564 has 5589 decimal digits: the whole
+        # sweep is refused before the d=1 cell runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(dofbound, "sweep", refuse)
+        code, _, err = run(
+            capsys, "sweep", "--channel", generic_file,
+            "--degrees", "1,12", "--ranges", "2",
+        )
+        assert code == 1
+        assert "CapExceededError" in err and "5589" in err
 
 
 class TestExampleRationalAndFig1:

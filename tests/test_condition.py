@@ -19,7 +19,14 @@ from icdof.condition import (
     monomial_values,
 )
 from icdof.errors import CapExceededError
-from icdof import linalg
+from icdof import condition, linalg
+
+
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(f"{what} built past the elimination cap")
+
+    return refuse
 
 
 def fraction_rank(matrix):
@@ -119,17 +126,37 @@ class TestMonomialFamily:
 
     def test_phi_cap(self, monkeypatch):
         # The cap sits on the elimination: a family of 2*phi(2) = 12 values
-        # is refused when it needs Bareiss and passes when it is structural.
+        # is refused before its integer matrix is built when it needs
+        # Bareiss, and passes when it is structural.
         monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 10)
         shared = load_channel({
             "K": 2,
             "generators": ["g", "h11", "h22"],
             "entries": [["h11", "g"], ["g", "h22"]],
         })
+        monkeypatch.setattr(condition, "integer_columns", _refuse("matrix"))
         with pytest.raises(CapExceededError):
             check_condition_star(shared, 2, 1)
         verdict = check_condition_star(generic_channel(2), 2, 1)
         assert verdict.independent and verdict.family_size == 12
+
+    def test_multi_term_refused_before_expansion(self, monkeypatch):
+        # Two-term entries at d=8: 2*phi(8) = 6006 values exceed the
+        # elimination cap, so the basis is refused before any product of
+        # entries is expanded or any matrix is built.
+        m = load_channel({
+            "K": 3,
+            "generators": ["x", "y"],
+            "entries": [["1", "x + y", "x + 1"],
+                        ["y + 1", "1", "x + 2"],
+                        ["y + 2", "x + 3", "1"]],
+        })
+        monkeypatch.setattr(AlgebraElement, "__mul__", _refuse("product"))
+        monkeypatch.setattr(AlgebraElement, "__pow__", _refuse("power"))
+        monkeypatch.setattr(condition, "integer_columns", _refuse("matrix"))
+        for check in (lambda: check_all(m, 8), lambda: basis_values(m, 8)):
+            with pytest.raises(CapExceededError, match="6006"):
+                check()
 
 
 class TestGenericIndependence:
