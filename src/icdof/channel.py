@@ -65,6 +65,8 @@ def parse_element(expr: str, generators: Sequence[str]) -> AlgebraElement:
                 continue
             if kind == "number":
                 num, _, den = text.partition("/")
+                if den and int(den) == 0:
+                    raise ChannelFormatError(f"zero denominator in {expr!r}")
                 coeff *= Fraction(int(num), int(den) if den else 1)
                 saw_factor = True
                 expect_factor = False

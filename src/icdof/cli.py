@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -39,23 +40,20 @@ def _fraction_str(q: Fraction) -> str:
 
 
 def _encode(obj):
+    """``json.dumps`` hook for the leaves JSON cannot write itself."""
     if isinstance(obj, Fraction):
         return _fraction_str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _encode(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(_encode(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
 
 
 def _digest(path) -> str:
@@ -65,7 +63,7 @@ def _digest(path) -> str:
 def _manifest(command: str, params: dict, inputs: dict | None = None, seeds=None):
     return {
         "command": command,
-        "parameters": _encode(params),
+        "parameters": params,
         "seeds": seeds,
         "tool_version": __version__,
         "input_digests": {k: _digest(v) for k, v in (inputs or {}).items()},
@@ -86,7 +84,7 @@ def _write_report(manifest: dict, report: dict, started: float, out_path) -> Non
 
 
 def _csv_payload(manifest: dict, header: list[str], rows: list[list]) -> str:
-    lines = ["# manifest: " + json.dumps(_encode(manifest), sort_keys=True)]
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True, default=_encode)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -426,6 +424,7 @@ def cmd_ifs(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icdof",

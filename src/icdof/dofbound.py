@@ -30,8 +30,9 @@ through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
 dense law wider than the support cap before allocating it.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment reads support elements over the
-degree-(d+1) basis by Bareiss elimination in :mod:`linalg`.
+for the bound and the sweep.  Containment is certified from the generators
+h_ij f_alpha of the interference, each checked to equal its degree-(d+1)
+basis value, so it reads no support element and materializes no W_N.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     distinct_single_terms,
+    enumerate_monomials,
     monomial_count,
     monomial_key,
     monomial_mul,
@@ -388,49 +390,6 @@ class ContainmentResult:
     support_size: int
 
 
-def _representation_reader(basis: Sequence[AlgebraElement]):
-    """Function mapping an element to its coefficient vector over ``basis``.
-
-    Requires the basis values to be linearly independent (a Bareiss rank
-    test, ``ValueError`` otherwise); returns None for an element that is not
-    in their span.  A basis of distinct single terms reads each coefficient
-    off its own monomial.  Any other basis reads an element e from the
-    kernel of the integer matrix [basis | e]: with independent basis columns
-    that kernel is empty (e is outside the span) or one-dimensional with a
-    nonzero last entry v[-1], and then e = sum_l (-v[l] / v[-1]) basis[l].
-    """
-    single = distinct_single_terms(basis)
-    if single is not None:
-        index = {mono: (k, coeff) for k, (mono, coeff) in enumerate(single)}
-
-        def read(element: AlgebraElement):
-            vec = [Fraction(0)] * len(basis)
-            for mono, coeff in element.terms.items():
-                hit = index.get(mono)
-                if hit is None:
-                    return None
-                k, base_coeff = hit
-                vec[k] = coeff / base_coeff
-            return vec
-
-        return read
-
-    values = list(basis)
-    if linalg.rank(condition_mod.integer_columns(values)) < len(values):
-        raise ValueError(
-            "basis values are rationally dependent; representation extraction "
-            "is ambiguous for this channel"
-        )
-
-    def read_general(element: AlgebraElement):
-        v = linalg.kernel_vector(condition_mod.integer_columns(values + [element]))
-        if v is None:
-            return None
-        return [Fraction(-x, v[-1]) for x in v[:-1]]
-
-    return read_general
-
-
 def containment_check(
     matrix: ChannelMatrix, receiver: int, d: int, N: int
 ) -> ContainmentResult:
@@ -441,24 +400,49 @@ def containment_check(
     0 <= a_l <= (K-1)N.  (Elements need not use every monomial, so zero
     coefficients are admitted; the reported container cardinality is the
     representation-count bound ((K-1)N)^phi(d+1).)
+
+    The check reads the generators of the interference, not its support.
+    A support element is sum_{j != i} sum_alpha a_{j,alpha} h_ij f_alpha
+    with every a in {1..N}, alpha over the degree-<=d monomials.  If every
+    generator h_ij f_alpha equals the basis value f_{alpha + e_ij}, where
+    e_ij is the off-diagonal variable of (i, j), then the element's
+    coefficient on f_m sums at most one a per interferer (alpha ->
+    alpha + e_ij is injective for a fixed j), so it is an integer in
+    [0, (K-1)N].  The degree-(d+1) values are independent (on sight for
+    distinct single terms, else by one rank test; a dependent basis raises
+    ``ValueError``), so that is the element's only representation, and the
+    whole support is contained.  Conversely ``contained`` is False as soon
+    as any generator is off its basis value, whether or not that pushes an
+    element out of the box.  The support size comes from
+    :func:`sum_entropy_stats`, so a structural channel enumerates no W_N
+    here.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
     construction = build_w_n(matrix, d, N)
-    dist = sumset_distribution(matrix, receiver, False, construction)
+    interferers = _participants(matrix, receiver, False)
     basis_next = condition_mod.basis_values(matrix, d + 1)
-    read = _representation_reader(basis_next)
-    bound = (matrix.K - 1) * N
-    contained = True
-    for element in dist.counts:
-        vec = read(element)
-        if vec is None or any(
-            a.denominator != 1 or not 0 <= a <= bound for a in vec
-        ):
-            contained = False
-            break
-    phi_next = monomial_count(matrix.K * (matrix.K - 1), d + 1)
-    return ContainmentResult(contained, bound**phi_next, dist.support_size)
+    if distinct_single_terms(basis_next) is None:
+        linalg.check_columns(len(basis_next))
+        if linalg.rank(condition_mod.integer_columns(basis_next)) < len(basis_next):
+            raise ValueError(
+                "basis values are rationally dependent; representation "
+                "extraction is ambiguous for this channel"
+            )
+    K = matrix.K
+    monomials = enumerate_monomials(K * (K - 1), d + 1)
+    position = {mono: k for k, mono in enumerate(monomials)}
+    variables = [(a, b) for a in range(1, K + 1) for b in range(1, K + 1) if a != b]
+    shifts = [(j, variables.index((receiver, j))) for j in interferers]
+    contained = all(
+        matrix.entry(receiver, j) * basis_next[k]
+        == basis_next[position[alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]]]
+        for j, v in shifts
+        for k, alpha in enumerate(monomials[: len(construction.basis)])
+    )
+    _, support = sum_entropy_stats(matrix, receiver, False, construction)
+    bound = (K - 1) * N
+    return ContainmentResult(contained, bound ** len(basis_next), support)
 
 
 # -- the DoF lower bound ---------------------------------------------------

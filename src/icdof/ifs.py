@@ -90,21 +90,20 @@ class SeparationResult:
 
 
 def separation_check(spec: IFSSpec) -> SeparationResult:
-    """Open-set sufficient condition r <= m/(m+M) on pairwise atom distances."""
+    """Open-set sufficient condition r <= m/(m+M) on pairwise atom distances.
+
+    Exact for a rational spec, in floats otherwise.
+    """
     if spec.n < 2:
         raise ValueError("separation bound needs at least two atoms")
     if spec.is_rational():
-        diffs = [
-            abs(a - b) for a, b in itertools.combinations(spec.atoms, 2)
-        ]
-        m, M = min(diffs), max(diffs)
-        bound = Fraction(m, m + M)
-        return SeparationResult(float(bound), spec.r <= bound)
-    atoms = [float(a) for a in spec.atoms]
+        r, atoms = spec.r, spec.atoms
+    else:
+        r, atoms = float(spec.r), [float(a) for a in spec.atoms]
     diffs = [abs(a - b) for a, b in itertools.combinations(atoms, 2)]
     m, M = min(diffs), max(diffs)
     bound = m / (m + M)
-    return SeparationResult(bound, float(spec.r) <= bound)
+    return SeparationResult(float(bound), r <= bound)
 
 
 @dataclass(frozen=True)

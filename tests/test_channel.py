@@ -58,7 +58,8 @@ class TestParseElement:
     def test_cancelling_sum_is_zero(self):
         assert parse_element("a - a", GENS).is_zero()
 
-    @pytest.mark.parametrize("bad", ["", "  ", "a +", "a ^ b", "q", "a^1/2", "2?"])
+    @pytest.mark.parametrize("bad", ["", "  ", "a +", "a ^ b", "q", "a^1/2", "2?",
+                                     "1/0*x"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ChannelFormatError):
             parse_element(bad, GENS)

@@ -94,6 +94,15 @@ class TestCheck:
         assert code == 1
         assert "error" in json.loads(err)
 
+    def test_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"K": 2, "generators": ["x"],
+                                    "entries": [["1", "1/0*x"], ["x", "1"]]}))
+        code, _, err = run(capsys, "check", "--channel", str(path),
+                           "--degree", "1")
+        assert code == 1
+        assert json.loads(err)["error"].startswith("ChannelFormatError: ")
+
 
 class TestBuildAndBound:
     def test_build(self, capsys, generic_file):

@@ -30,7 +30,7 @@ from icdof.dofbound import (
     to_ifs,
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
-from icdof import dofbound
+from icdof import condition, dofbound
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
 SHARED_GENERATOR_K2 = {
@@ -279,8 +279,8 @@ class TestContainment:
 
     @pytest.mark.parametrize("d,N,container,support", [(0, 3, 27, 3), (1, 2, 64, 8)])
     def test_multi_term_basis(self, d, N, container, support):
-        # h12 = x + 1 makes the degree-(d+1) basis multi-term, so every
-        # support element is read through the kernel of [basis | element]
+        # h12 = x + 1 makes the degree-(d+1) basis multi-term, so its
+        # independence is decided by one rank test, not on sight
         m = load_channel({"K": 2, "generators": ["a", "b", "x", "y"],
                           "entries": [["a", "x + 1"], ["y", "b"]]})
         res = containment_check(m, 1, d, N)
@@ -292,6 +292,33 @@ class TestContainment:
                           "entries": [["a", "x + y"], ["2*x + 2*y", "b"]]})
         with pytest.raises(ValueError, match="rationally dependent"):
             containment_check(m, 1, 0, 2)
+
+    def test_answers_past_the_letter_cap(self):
+        # N^phi(3) = 6^10 letters: more than the support cap lets anything
+        # enumerate, and containment needs none of them
+        res = containment_check(generic_channel(2), 1, 3, 6)
+        assert res == dofbound.ContainmentResult(True, 6**15, 6**10)
+
+    def test_structural_channel_materializes_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("materialized")
+
+        monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
+        monkeypatch.setattr(dofbound, "sumset_distribution", refuse)
+        res = containment_check(generic_channel(3), 1, 1, 2)
+        assert res == dofbound.ContainmentResult(True, 4**28, 12288)
+
+    def test_generators_are_checked(self, monkeypatch):
+        # the reversed degree-2 basis is still independent, but h_ij * f_alpha
+        # no longer sits at position alpha + e_ij, so the check must see it
+        basis_values = condition.basis_values
+
+        def reversed_at_two(matrix, d):
+            values = basis_values(matrix, d)
+            return values[::-1] if d == 2 else values
+
+        monkeypatch.setattr(condition, "basis_values", reversed_at_two)
+        assert not containment_check(generic_channel(3), 1, 1, 2).contained
 
 
 class TestRatios:

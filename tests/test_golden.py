@@ -1,5 +1,6 @@
-"""Golden CLI payloads: ``check``, ``build``, ``bound`` and ``sweep`` outputs
-and ``to_ifs`` atoms, pinned exactly.
+"""Golden CLI payloads: ``check``, ``build``, ``bound``, ``sweep``,
+``example-rational``, ``fig1``, ``estimate`` and ``ifs`` outputs and
+``to_ifs`` atoms, pinned exactly.
 
 Each case is the ``report`` part of a JSON payload (the manifest, which holds
 the wall clock and the tool version, is left out), the data rows of a CSV
@@ -73,6 +74,10 @@ def _sweep_rows(work, name, degrees, ranges):
     return text.splitlines()[1:]
 
 
+def _plain_report(work, *argv):
+    return json.loads(_cli(work, list(argv)))["report"]
+
+
 def _atoms(matrix, d, N, valuation):
     return [float(a) for a in to_ifs(build_w_n(matrix, d, N), valuation).atoms]
 
@@ -94,6 +99,16 @@ CASES = {
         for N in (2, 3, 4)
     },
     "sweep generic3 d=0,1 N=2,3": lambda w: _sweep_rows(w, "generic3", "0,1", "2,3"),
+    "ifs r=1/2 atoms=0,1,2 overlap-depth=4": lambda w: _plain_report(
+        w, "ifs", "--spec", '{"r": "1/2", "atoms": [0, 1, 2]}',
+        "--overlap-depth", "4"),
+    "example-rational k=3 N=1024": lambda w: _plain_report(
+        w, "example-rational", "--k", "3", "--range", "1024"),
+    "fig1": lambda w: _plain_report(w, "fig1"),
+    "estimate cantor samples=4000 seed=3": lambda w: _cli(
+        w, ["estimate", "--spec", '{"r": "1/3", "atoms": [0, 2]}',
+            "--k-grid", "9,27,81", "--samples", "4000", "--seed", "3"],
+    ).splitlines()[1:],
     "to_ifs generic2 d=1 N=3": lambda w: _atoms(
         generic_channel(2), 1, 3, [1.1, 1.3, 1.7, 1.9]),
     "to_ifs shared2 d=1 N=3": lambda w: _atoms(

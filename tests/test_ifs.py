@@ -8,6 +8,7 @@ import pytest
 from icdof.errors import CapExceededError
 from icdof.ifs import (
     IFSSpec,
+    SeparationResult,
     exact_overlap_search,
     fixed_point_discrepancy,
     hochman_dimension,
@@ -103,6 +104,11 @@ class TestSeparation:
         spec = IFSSpec(Fraction(1, 11), (0, 1, 10))
         assert separation_check(spec).bound == pytest.approx(1 / 11)
         assert separation_check(spec).satisfied
+
+    def test_float_boundary(self):
+        # distances {1, 2, 3}: bound 1/4, and r = 0.25 sits exactly on it
+        res = separation_check(IFSSpec(0.25, (0.0, 1.0, 3.0)))
+        assert res == SeparationResult(0.25, True)
 
     def test_single_atom_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ Random small K=2/3 channels of three kinds: single terms on distinct
 generators (the shortcuts always apply), single terms on a shared pool of
 generators (monomials may collide), and entries of up to three terms.  The
 oracles are the tuple enumeration of W_N and Bareiss elimination of the
-receiver family, called directly, and the materialized convolution of
-the received sums.
+receiver family, called directly, the materialized convolution of the
+received sums, and the per-element kernel read of the interference support
+that containment used to run.
 """
 
 import itertools
@@ -17,15 +18,18 @@ from icdof import linalg
 from icdof.algebra import AlgebraElement, distinct_single_terms
 from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
+    basis_values,
     check_all,
     check_condition_star,
     integer_columns,
     monomial_values,
 )
 from icdof.dofbound import (
+    ContainmentResult,
     _coordinate_layout,
     _enumerate_letters,
     build_w_n,
+    containment_check,
     sum_entropy_stats,
     sumset_distribution,
 )
@@ -176,3 +180,61 @@ class TestCoordinateEntropies:
         dist = sumset_distribution(matrix, receiver, include_diagonal, c)
         assert support == dist.support_size
         assert abs(entropy - dist.entropy_bits) <= 1e-12
+
+
+@st.composite
+def containment_cases(draw):
+    """(channel, receiver, d, N) whose interference support has at most 729
+    nominal elements, so that the oracle can read every one of them."""
+    kind = draw(st.sampled_from(KINDS))
+    K = draw(st.sampled_from([2, 3]))
+    matrix = draw(channels(kind, K))
+    d = draw(st.integers(0, 1))
+    N = draw(st.integers(1, 3))
+    phi = 1 if d == 0 else 1 + K * (K - 1)
+    assume(N ** (phi * (K - 1)) <= 729)
+    return matrix, draw(st.integers(1, K)), d, N
+
+
+def read_every_element(matrix, receiver, d, N):
+    """Oracle: materialize the interference law and read each support
+    element over the degree-(d+1) basis from the kernel of [basis | e]."""
+    construction = build_w_n(matrix, d, N)
+    dist = sumset_distribution(matrix, receiver, False, construction)
+    basis = basis_values(matrix, d + 1)
+    if linalg.rank(integer_columns(basis)) < len(basis):
+        raise ValueError(
+            "basis values are rationally dependent; representation "
+            "extraction is ambiguous for this channel"
+        )
+    bound = (matrix.K - 1) * N
+    contained = True
+    for element in dist.counts:
+        v = linalg.kernel_vector(integer_columns(basis + [element]))
+        coeffs = [] if v is None else [Fraction(-x, v[-1]) for x in v[:-1]]
+        if v is None or any(
+            a.denominator != 1 or not 0 <= a <= bound for a in coeffs
+        ):
+            contained = False
+            break
+    return ContainmentResult(contained, bound ** len(basis), dist.support_size)
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestContainment:
+    @settings(max_examples=60, deadline=None)
+    @given(containment_cases())
+    # a multi-term K=3 channel whose degree-1 basis passes the rank test
+    @example((load_channel({"K": 3, "generators": ["a", "b", "c", "x", "y"],
+                            "entries": [["a", "x + y^3", "y"], ["x", "b", "x*y"],
+                                        ["y^2", "x^2", "c"]]}), 1, 0, 3))
+    def test_generator_check_matches_per_element_read(self, case):
+        matrix, receiver, d, N = case
+        assert outcome(containment_check, *case) == outcome(
+            read_every_element, matrix, receiver, d, N)
