@@ -7,9 +7,10 @@ For receiver i and degree cutoff d the checked family is
 where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
 into exact polynomials in the channel generators; independence over the
-rationals is then an integer rank question, decided by fraction-free
-elimination; a family longer than ``linalg.ELIMINATION_COLUMN_CAP`` is
-refused before its matrix (or a product of multi-term entries) is built.
+rationals is then a rank question over their sparse coefficient columns,
+decided by exact elimination (``linalg.eliminate_columns``); a family
+longer than ``linalg.ELIMINATION_COLUMN_CAP`` is refused before it is
+eliminated (or a product of multi-term entries is expanded).
 A family of single terms with pairwise distinct monomials (every entry its
 own generator, the generic case) is independent on sight, since distinct
 monomials are linearly independent over Q, and skips the elimination and
@@ -124,7 +125,9 @@ def integer_columns(values: List[AlgebraElement]) -> List[List[int]]:
     """Coefficient matrix with one column per value, one row per monomial.
 
     Rows are scaled to integers by their denominator lcm; row scaling leaves
-    the null space (the certificate space) unchanged.
+    the null space (the certificate space) unchanged.  The dense Bareiss
+    input that tests check ``linalg.eliminate_columns`` against; no caller
+    in the package.
     """
     monomials = sorted(
         {m for v in values for m in v.terms}, key=monomial_key
@@ -151,11 +154,12 @@ def check_condition_star(
     ``basis`` is ``basis_values(matrix, d)`` when the caller already has it.
     A family of single terms with pairwise distinct monomials is independent
     with rank 2*phi without elimination: distinct monomials are linearly
-    independent over Q, so the integer matrix has one nonzero per column,
-    each in its own row.  Every other family is refused past
-    ``linalg.ELIMINATION_COLUMN_CAP`` before its integer matrix is built,
-    and otherwise goes through Bareiss.  That matrix always has a row: the
-    first basis value is the constant monomial 1.
+    independent over Q, so each column has one nonzero, in its own row.
+    Every other family is refused past ``linalg.ELIMINATION_COLUMN_CAP``
+    and otherwise goes through ``linalg.eliminate_columns`` on the values'
+    term maps, with no dense matrix built.  Its kernel of the first
+    dependent value is the certificate; it equals the Bareiss kernel vector
+    of the same family, which the tests check.
     """
     if basis is None:
         basis = basis_values(matrix, d)
@@ -164,9 +168,7 @@ def check_condition_star(
     if distinct_single_terms(values) is not None:
         return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
     linalg.check_columns(2 * phi)
-    echelon, pivots = linalg.bareiss_echelon(integer_columns(values))
-    matrix_rank = len(pivots)
-    kernel = linalg.kernel_from_echelon(echelon, pivots, 2 * phi)
+    matrix_rank, kernel = linalg.eliminate_columns([v.terms for v in values])
     if kernel is None:
         return ReceiverVerdict(receiver, d, True, matrix_rank, 2 * phi)
     certificate = DependenceCertificate(

@@ -409,8 +409,9 @@ def containment_check(
     coefficient on f_m sums at most one a per interferer (alpha ->
     alpha + e_ij is injective for a fixed j), so it is an integer in
     [0, (K-1)N].  The degree-(d+1) values are independent (on sight for
-    distinct single terms, else by one rank test; a dependent basis raises
-    ``ValueError``), so that is the element's only representation, and the
+    distinct single terms, else by one ``linalg.eliminate_columns`` rank
+    test over their term maps; a dependent basis raises ``ValueError``), so
+    that is the element's only representation, and the
     whole support is contained.  Conversely ``contained`` is False as soon
     as any generator is off its basis value, whether or not that pushes an
     element out of the box.  The support size comes from
@@ -424,7 +425,8 @@ def containment_check(
     basis_next = condition_mod.basis_values(matrix, d + 1)
     if distinct_single_terms(basis_next) is None:
         linalg.check_columns(len(basis_next))
-        if linalg.rank(condition_mod.integer_columns(basis_next)) < len(basis_next):
+        rank, _ = linalg.eliminate_columns([v.terms for v in basis_next])
+        if rank < len(basis_next):
             raise ValueError(
                 "basis values are rationally dependent; representation "
                 "extraction is ambiguous for this channel"

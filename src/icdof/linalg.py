@@ -1,22 +1,29 @@
-"""Fraction-free integer linear algebra (Bareiss elimination).
+"""Exact linear algebra over Q: sparse column elimination, dense Bareiss.
 
-Operates on dense integer matrices given as lists of row lists.  Row
-operations only, so the null space of the matrix is preserved, which is what
-the dependence-certificate extraction relies on.  Elimination is cubic in
-the matrix size, so a matrix wider than ``ELIMINATION_COLUMN_CAP`` is
-refused before any work; a caller that builds the matrix calls
-:func:`check_columns` first, so a refused matrix is never allocated.
+:func:`eliminate_columns` is the one eliminator the package runs.  It takes
+columns as sparse ``{row_key: Fraction}`` maps (an ``AlgebraElement``'s
+``terms``), so no dense matrix is built, and its cost grows with the
+fill-in of the reduced columns, not with rows x columns.  A family wider
+than ``ELIMINATION_COLUMN_CAP`` is refused before any work: callers call
+:func:`check_columns` before they build what they eliminate.
+
+:func:`bareiss_echelon` (fraction-free, Bareiss, Math. Comp. 22, 1968) and
+the helpers built on it work on dense integer matrices given as lists of
+row lists.  Nothing in the package calls them; they stay as the reference
+the tests compare :func:`eliminate_columns` against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import CapExceededError
 
-#: Cap on the columns of a matrix handed to :func:`bareiss_echelon`.
+#: Cap on the columns of one elimination.  The cost depends on the fill-in,
+#: which the column count does not bound, so this bounds the family (and,
+#: for multi-term entries, the products expanded to build it) instead.
 ELIMINATION_COLUMN_CAP = 4000
 
 
@@ -24,15 +31,77 @@ def check_columns(cols: int) -> None:
     """Refuse an elimination over more than ``ELIMINATION_COLUMN_CAP`` columns."""
     if cols > ELIMINATION_COLUMN_CAP:
         raise CapExceededError(
-            "Bareiss elimination columns", cols, ELIMINATION_COLUMN_CAP
+            "elimination columns", cols, ELIMINATION_COLUMN_CAP
         )
+
+
+def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None]:
+    """``(rank, kernel)`` of sparse columns over Q, by exact elimination.
+
+    Each column maps ordered row keys to its nonzero entries.  The columns
+    are reduced one at a time against the basis of the earlier ones, kept
+    as ``{pivot key: (vector, combination)}`` with each vector scaled to 1
+    on its pivot, the largest key it has.  A column whose largest key is a
+    pivot subtracts that basis vector, which clears the key and brings in
+    only keys below it, so its largest key strictly decreases and the
+    reduction ends: at zero (the column is dependent on the earlier ones)
+    or on a key that is no pivot, which becomes the column's own pivot.
+
+    ``kernel`` is ``None`` when the columns are independent.  Otherwise it
+    is the combination that reduced the first dependent column, c, to zero,
+    scaled to coprime integers with a positive leading entry, as a vector
+    over all columns.  It is 1 on c and 0 after c; the columns before c are
+    independent, so the kernel of the first c+1 columns is one-dimensional
+    and this vector is unique.  It is therefore the vector
+    :func:`kernel_from_echelon` returns for the matrix with these columns,
+    whose free variable is the first non-pivot column, c.
+
+    The caller checks the column cap (:func:`check_columns`) first.
+    """
+    basis: Dict = {}
+    kernel = None
+    for index, column in enumerate(columns):
+        vector = {key: Fraction(v) for key, v in column.items() if v}
+        # Only the first dependence is reported, so once it is found the
+        # combinations are no longer tracked.
+        combo = {index: Fraction(1)} if kernel is None else None
+        while vector:
+            pivot = max(vector)
+            if pivot not in basis:
+                break
+            factor = vector[pivot]
+            reducer, reducer_combo = basis[pivot]
+            _subtract(vector, factor, reducer)
+            if combo is not None:
+                _subtract(combo, factor, reducer_combo)
+        if vector:
+            scale = vector[pivot]
+            basis[pivot] = (
+                {key: v / scale for key, v in vector.items()},
+                None if combo is None
+                else {k: v / scale for k, v in combo.items()},
+            )
+        elif kernel is None:
+            kernel = _coprime([combo.get(k, 0) for k in range(len(columns))])
+    return len(basis), kernel
+
+
+def _subtract(target: Dict, factor: Fraction, source: Mapping) -> None:
+    """``target -= factor * source`` in place, dropping entries that cancel."""
+    for key, value in source.items():
+        value = target.get(key, 0) - factor * value
+        if value:
+            target[key] = value
+        else:
+            target.pop(key, None)
 
 
 def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Row echelon form via fraction-free (Bareiss) elimination.
 
     Returns ``(echelon, pivot_cols)``; all intermediate entries stay integers.
-    The input is not modified.
+    The input is not modified.  The reference :func:`eliminate_columns` is
+    tested against; no caller in the package.
     """
     if not matrix:
         return [], []
@@ -62,13 +131,15 @@ def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]
 
 
 def rank(matrix: List[List[int]]) -> int:
+    """Rank by :func:`bareiss_echelon`; a test reference, no caller in the package."""
     return len(bareiss_echelon(matrix)[1])
 
 
 def kernel_vector(matrix: List[List[int]]) -> List[int] | None:
     """First kernel basis vector of ``matrix`` (as A x = 0), coprime integers.
 
-    Returns ``None`` for full column rank.
+    Returns ``None`` for full column rank.  A test reference for
+    :func:`eliminate_columns`; no caller in the package.
     """
     if not matrix:
         return None
@@ -84,6 +155,7 @@ def kernel_from_echelon(
     Deterministic: the first non-pivot column (in the fixed column order) is
     the free variable set to 1; the result is scaled to coprime integers with
     positive leading nonzero entry.  Returns ``None`` for full column rank.
+    A test reference for :func:`eliminate_columns`; no caller in the package.
     """
     if len(pivot_cols) == cols:
         return None
@@ -99,6 +171,11 @@ def kernel_from_echelon(
             Fraction(0),
         )
         x[p] = -acc / echelon[r][p]
+    return _coprime(x)
+
+
+def _coprime(x: List[Fraction]) -> List[int]:
+    """A nonzero rational vector scaled to coprime integers, leading entry > 0."""
     scale = 1
     for value in x:
         scale = scale * value.denominator // gcd(scale, value.denominator)

@@ -42,8 +42,20 @@ def _product_doc():
     return doc
 
 
+def _multi_term_doc():
+    """Generic K=3 with multi-term diagonal entries; h33 lies in the span of
+    the degree-2 off-diagonal monomials, so receiver 3's family is dependent
+    from d=2 on (it loses phi(d-2) ranks)."""
+    doc = store_channel(generic_channel(3))
+    doc["entries"][0][0] = "h11 + 2/3"
+    doc["entries"][1][1] = "h22 + 5/7*h11"
+    doc["entries"][2][2] = "3/4*h12*h13 + 7/2*h21"
+    return doc
+
+
 DOCS = {
     "generic3": lambda: store_channel(generic_channel(3)),
+    "multi3": _multi_term_doc,
     "product3": _product_doc,
     "shared2": lambda: SHARED_DOC,
 }
@@ -85,6 +97,7 @@ def _atoms(matrix, d, N, valuation):
 CASES = {
     "check generic3 d=2": lambda w: _report(w, "check", "generic3", "--degree", "2"),
     "check product3 d=2": lambda w: _report(w, "check", "product3", "--degree", "2"),
+    "check multi3 d=3": lambda w: _report(w, "check", "multi3", "--degree", "3"),
     "build shared2 d=1 N=2": lambda w: _report(
         w, "build", "shared2", "--degree", "1", "--range", "2",
         "--waive-condition"),

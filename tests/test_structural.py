@@ -139,6 +139,8 @@ class TestStructuralIndependence:
             assert distinct_single_terms(values) is not None
         if not verdict.independent:
             assert verdict.certificate.is_valid(matrix)
+            certificate = verdict.certificate.a + verdict.certificate.b
+            assert list(certificate) == linalg.kernel_vector(rows)
 
     @settings(max_examples=30, deadline=None)
     @given(condition_cases())
