@@ -77,27 +77,6 @@ def enumerate_monomials(m: int, d: int) -> list[Monomial]:
     return out
 
 
-def distinct_single_terms(
-    values: Iterable["AlgebraElement"],
-) -> list[Tuple[Monomial, Fraction]] | None:
-    """``[(monomial, coeff), ...]`` of the values, or None.
-
-    Not None exactly when every value has one term and the monomials are
-    pairwise distinct.  Such a family is linearly independent over Q
-    (distinct monomials are), and each value's coefficient on a combination
-    is read back from its own monomial alone.
-    """
-    terms = []
-    seen = set()
-    for value in values:
-        term = value.single_term()
-        if term is None or term[0] in seen:
-            return None
-        seen.add(term[0])
-        terms.append(term)
-    return terms
-
-
 class AlgebraElement:
     """Element of the polynomial algebra over a fixed number of generators.
 

@@ -162,11 +162,13 @@ def parse_ifs_spec(text: str) -> IFSSpec:
             'IFS spec must be an object with "r" and "atoms" (optional "probs")'
         )
     probs = doc.get("probs")
-    return IFSSpec(
-        _parse_ifs_value(doc["r"]),
-        tuple(_parse_ifs_value(a) for a in doc["atoms"]),
-        tuple(Fraction(p) for p in probs) if probs else None,
-    )
+    try:
+        r = _parse_ifs_value(doc["r"])
+        atoms = tuple(_parse_ifs_value(a) for a in doc["atoms"])
+        probs = tuple(Fraction(p) for p in probs) if probs else None
+    except (ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"IFS spec holds a malformed number: {exc}") from None
+    return IFSSpec(r, atoms, probs)
 
 
 def _int_list(text: str) -> list[int]:
@@ -385,14 +387,14 @@ def cmd_ifs(args) -> int:
     if spec.n >= 2:
         sep = ifs.separation_check(spec)
         report["separation"] = {"bound": sep.bound, "satisfied": sep.satisfied}
-    if args.overlap_depth:
+    if args.overlap_depth is not None:
         pairs = ifs.exact_overlap_search(spec, args.overlap_depth, args.tolerance)
         report["overlaps"] = [
             {"word_a": list(p.word_a), "word_b": list(p.word_b),
              "delta_abs": p.delta_abs}
             for p in pairs
         ]
-    if args.sample:
+    if args.sample is not None:
         samples = ifs.sample(spec, args.depth, args.sample, args.seed,
                              chunks=args.threads)
         path = Path(args.samples_out or "samples.csv")
@@ -415,7 +417,7 @@ def cmd_ifs(args) -> int:
             "format": args.format,
             "threads": args.threads,
         },
-        seeds=[args.seed] if args.sample else None,
+        seeds=[args.seed] if args.sample is not None else None,
     )
     _write_report(manifest, report, started, args.out)
     return 0

@@ -8,14 +8,11 @@ where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
 into exact polynomials in the channel generators; independence over the
 rationals is then a rank question over their sparse coefficient columns,
-decided by exact elimination (``linalg.eliminate_columns``); a family
-longer than ``linalg.ELIMINATION_COLUMN_CAP`` is refused before it is
-eliminated (or a product of multi-term entries is expanded).
-A family of single terms with pairwise distinct monomials (every entry its
-own generator, the generic case) is independent on sight, since distinct
-monomials are linearly independent over Q, and skips the elimination and
-its cap.  A failed check returns an explicit integer certificate that
-substitutes back to the exact zero polynomial.
+decided by ``linalg.eliminate_columns``, which also owns the on-sight rule
+for distinct single terms and the elimination cap.  A product of
+multi-term entries is not expanded for a family past that cap.  A failed
+check returns an explicit integer certificate that substitutes back to the
+exact zero polynomial.
 
 An "independent" verdict is certified only up to the tested degree.
 """
@@ -29,7 +26,6 @@ from typing import List, Tuple
 
 from .algebra import (
     AlgebraElement,
-    distinct_single_terms,
     enumerate_monomials,
     monomial_count,
     monomial_key,
@@ -152,22 +148,14 @@ def check_condition_star(
     """Decide independence of the receiver family up to degree ``d``.
 
     ``basis`` is ``basis_values(matrix, d)`` when the caller already has it.
-    A family of single terms with pairwise distinct monomials is independent
-    with rank 2*phi without elimination: distinct monomials are linearly
-    independent over Q, so each column has one nonzero, in its own row.
-    Every other family is refused past ``linalg.ELIMINATION_COLUMN_CAP``
-    and otherwise goes through ``linalg.eliminate_columns`` on the values'
-    term maps, with no dense matrix built.  Its kernel of the first
-    dependent value is the certificate; it equals the Bareiss kernel vector
-    of the same family, which the tests check.
+    The values' term maps go to ``linalg.eliminate_columns``; its kernel of
+    the first dependent value is the certificate, and it equals the Bareiss
+    kernel vector of the same family, which the tests check.
     """
     if basis is None:
         basis = basis_values(matrix, d)
     values = _receiver_family(matrix, receiver, basis)
     phi = len(values) // 2
-    if distinct_single_terms(values) is not None:
-        return ReceiverVerdict(receiver, d, True, 2 * phi, 2 * phi)
-    linalg.check_columns(2 * phi)
     matrix_rank, kernel = linalg.eliminate_columns([v.terms for v in values])
     if kernel is None:
         return ReceiverVerdict(receiver, d, True, matrix_rank, 2 * phi)

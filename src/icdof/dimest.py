@@ -98,9 +98,8 @@ def estimate_dimension(
     depth: int | None = None,
     seed: int = 0,
     chunks: int = 1,
-    miller_madow: bool = True,
 ) -> DimensionEstimate:
-    """Quantized entropies over ``k_grid`` and the fitted dimension slope.
+    """Miller-Madow quantized entropies over ``k_grid`` and their slope.
 
     The truncation depth must satisfy r^depth <= 1/(2 max k); it is derived
     automatically when not given.  The pointwise min/max of H/log2(k) are
@@ -118,7 +117,7 @@ def estimate_dimension(
             f"need depth >= {needed}"
         )
     samples = ifs.sample(spec, depth, sample_count, seed, chunks=chunks)
-    entropies = [quantized_entropy(samples, k, miller_madow) for k in k_grid]
+    entropies = [quantized_entropy(samples, k, True) for k in k_grid]
     log_k = np.log2(np.array(k_grid, dtype=float))
     if len(k_grid) > 1:
         slope = float(np.polyfit(log_k, np.array(entropies), 1)[0])

@@ -7,19 +7,19 @@ letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
 
 W_N is enumerated only when its letters are needed.  When the basis values
-are single terms with pairwise distinct monomials (every entry its own
-generator, the generic case), |W_N| = N^phi is read off the basis and the
-letters stay unenumerated until something iterates over them; the
-coordinate decomposition below never does.  The support cap
-``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized: before
-enumerating the N^phi letter combinations, while convolving a sumset, and
-before allocating a dense scaled-uniform law.  So the size of a lazy W_N
-is not capped at all.
+are independent over Q (decided by ``linalg.eliminate_columns``, on sight
+for the generic channel), |W_N| = N^phi and the letters stay unenumerated
+until something iterates over them; the coordinate decomposition below
+never does.  Only a dependent basis is enumerated to be sized.  The support
+cap ``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized:
+before enumerating the N^phi letter combinations, while convolving a
+sumset, and before allocating a dense scaled-uniform law.  So the size of a
+lazy W_N is not capped at all.
 
 Entropies are computed either by exact convolution keyed on canonical
-polynomial values, or (for channels whose entries are single-term, e.g. the
-all-distinct-generator matrices) by an exact coordinate decomposition: each
-monomial coordinate of the received sum is a sum of independent scaled
+polynomial values, or (when the entries and basis values are single terms
+and W_N has a unique representation) by an exact coordinate decomposition:
+each monomial coordinate of the received sum is a sum of independent scaled
 uniforms drawn from disjoint letter coefficients, so the coordinates are
 independent and the entropy is the sum of small one-dimensional convolution
 entropies.  The two routes agree exactly and are cross-checked in the tests;
@@ -48,7 +48,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    distinct_single_terms,
     enumerate_monomials,
     monomial_count,
     monomial_key,
@@ -154,13 +153,12 @@ def _enumerate_letters(
 def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     """W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup.
 
-    When the basis values f_i = c_i m_i are single terms with pairwise
-    distinct monomials m_i, the letter for (a_1, ..., a_phi) has coefficient
-    a_i c_i on m_i, so each a_i is read back as (coefficient of m_i) / c_i.
-    Distinct coefficient vectors therefore give distinct letters, |W_N| =
-    N^phi and the representation is unique, with nothing enumerated.  The
+    When the basis values are independent over Q (``linalg.eliminate_columns``
+    has full rank), distinct coefficient vectors (a_1, ..., a_phi) give
+    distinct letters, so |W_N| = N^phi and the representation is unique,
+    with nothing enumerated.  N = 1 needs no rank: W_N is one letter.  The
     letters are enumerated on first iteration, and only then is N^phi
-    checked against the support cap.  Any other basis is enumerated here,
+    checked against the support cap.  A dependent basis is enumerated here,
     so its N^phi is capped at once, and deduplicated exactly.
     """
     if N < 1:
@@ -170,7 +168,7 @@ def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     enumerate_ = functools.partial(
         _enumerate_letters, basis, N, len(matrix.generators)
     )
-    if distinct_single_terms(basis) is not None:
+    if N == 1 or linalg.eliminate_columns([f.terms for f in basis])[1] is None:
         # Not len(elements): len() cannot exceed sys.maxsize.
         cardinality = nominal
         elements = Letters(nominal, enumerate_)
@@ -273,13 +271,20 @@ def _coordinate_layout(
 ):
     """Monomial -> list of scaling coefficients, or None if ineligible.
 
-    Eligible when every participating entry and every basis value is a
-    single term, basis monomials are pairwise distinct (so letters are in
-    bijection with coefficient vectors), in which case each monomial
-    coordinate of the received sum is an independent sum of scaled uniforms.
+    Eligible when every participating entry h_ij and every basis value f_l
+    is a single term and W_N has a unique representation.  Then letters are
+    in bijection with coefficient vectors, so a uniform letter W_j has
+    i.i.d. uniform coefficients a_{j,l}, and the received sum is
+    sum_{j,l} a_{j,l} h_ij f_l.  Each product h_ij f_l is one term, so each
+    a_{j,l} lands, scaled, on exactly one monomial: the coordinates are
+    sums of scaled uniforms over disjoint sets of independent a's, hence
+    independent.  Basis monomials may repeat (f = g and 2g at N = 2); the
+    two a's then share a coordinate.
     """
-    basis_terms = distinct_single_terms(construction.basis)
-    if basis_terms is None:
+    if not construction.unique_representation:
+        return None
+    basis_terms = [f.single_term() for f in construction.basis]
+    if None in basis_terms:
         return None
     layout: Dict[tuple, List[Fraction]] = {}
     for j in _participants(matrix, receiver, include_diagonal):
@@ -408,29 +413,25 @@ def containment_check(
     e_ij is the off-diagonal variable of (i, j), then the element's
     coefficient on f_m sums at most one a per interferer (alpha ->
     alpha + e_ij is injective for a fixed j), so it is an integer in
-    [0, (K-1)N].  The degree-(d+1) values are independent (on sight for
-    distinct single terms, else by one ``linalg.eliminate_columns`` rank
-    test over their term maps; a dependent basis raises ``ValueError``), so
-    that is the element's only representation, and the
-    whole support is contained.  Conversely ``contained`` is False as soon
-    as any generator is off its basis value, whether or not that pushes an
-    element out of the box.  The support size comes from
-    :func:`sum_entropy_stats`, so a structural channel enumerates no W_N
-    here.
+    [0, (K-1)N].  The degree-(d+1) values are independent (by
+    ``linalg.eliminate_columns`` over their term maps; a dependent basis
+    raises ``ValueError``), so that is the element's only representation,
+    and the whole support is contained.  Conversely ``contained`` is False
+    as soon as any generator is off its basis value, whether or not that
+    pushes an element out of the box.  The support size comes from
+    :func:`sum_entropy_stats`, so a channel on the coordinate path
+    enumerates no W_N here.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
     construction = build_w_n(matrix, d, N)
     interferers = _participants(matrix, receiver, False)
     basis_next = condition_mod.basis_values(matrix, d + 1)
-    if distinct_single_terms(basis_next) is None:
-        linalg.check_columns(len(basis_next))
-        rank, _ = linalg.eliminate_columns([v.terms for v in basis_next])
-        if rank < len(basis_next):
-            raise ValueError(
-                "basis values are rationally dependent; representation "
-                "extraction is ambiguous for this channel"
-            )
+    if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
+        raise ValueError(
+            "basis values are rationally dependent; representation "
+            "extraction is ambiguous for this channel"
+        )
     K = matrix.K
     monomials = enumerate_monomials(K * (K - 1), d + 1)
     position = {mono: k for k, mono in enumerate(monomials)}

@@ -139,16 +139,16 @@ def exact_overlap_search(
     atoms = spec.atoms if exact else [float(a) for a in spec.atoms]
     r = spec.r if exact else float(spec.r)
     out: List[OverlapPair] = []
+    # Words in product (lexicographic) order with their base points, each
+    # depth extended from the last by one appended letter and one add.
+    words = [()]
+    values = [Fraction(0) if exact else 0.0]
+    scale = Fraction(1) if exact else 1.0
     for depth in range(1, max_depth + 1):
-        words = list(itertools.product(range(n), repeat=depth))
-        values = []
-        for word in words:
-            acc = Fraction(0) if exact else 0.0
-            scale = Fraction(1) if exact else 1.0
-            for idx in word:
-                acc += scale * atoms[idx]
-                scale *= r
-            values.append(acc)
+        steps = [scale * a for a in atoms]
+        words = [word + (idx,) for word in words for idx in range(n)]
+        values = [v + step for v in values for step in steps]
+        scale *= r
         order = sorted(range(len(words)), key=lambda t: (values[t], words[t]))
         # |v_a - v_b| <= tol pairs found by a sliding window over sorted values.
         for pos_a in range(len(order)):

@@ -1,11 +1,13 @@
 """Exact linear algebra over Q: sparse column elimination, dense Bareiss.
 
-:func:`eliminate_columns` is the one eliminator the package runs.  It takes
-columns as sparse ``{row_key: Fraction}`` maps (an ``AlgebraElement``'s
-``terms``), so no dense matrix is built, and its cost grows with the
-fill-in of the reduced columns, not with rows x columns.  A family wider
-than ``ELIMINATION_COLUMN_CAP`` is refused before any work: callers call
-:func:`check_columns` before they build what they eliminate.
+:func:`eliminate_columns` decides every rational-independence question the
+package asks: condition (*), the size of W_N and the containment basis.
+It takes columns as sparse ``{row_key: Fraction}`` maps (an
+``AlgebraElement``'s ``terms``), so no dense matrix is built.  Columns that
+are single nonzero entries on distinct keys (the generic channel's distinct
+monomials) are independent on sight, with no cap and no reduction.  Any
+other family wider than ``ELIMINATION_COLUMN_CAP`` is refused before any
+work, and otherwise costs what the fill-in of its reduced columns costs.
 
 :func:`bareiss_echelon` (fraction-free, Bareiss, Math. Comp. 22, 1968) and
 the helpers built on it work on dense integer matrices given as lists of
@@ -56,8 +58,13 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
     :func:`kernel_from_echelon` returns for the matrix with these columns,
     whose free variable is the first non-pivot column, c.
 
-    The caller checks the column cap (:func:`check_columns`) first.
+    Columns that are each one nonzero entry on a key no other column has
+    are independent (each is alone in its row): ``(len(columns), None)`` at
+    once, whatever their number.  Any other family is capped, then reduced.
     """
+    if _independent_on_sight(columns):
+        return len(columns), None
+    check_columns(len(columns))
     basis: Dict = {}
     kernel = None
     for index, column in enumerate(columns):
@@ -84,6 +91,20 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
         elif kernel is None:
             kernel = _coprime([combo.get(k, 0) for k in range(len(columns))])
     return len(basis), kernel
+
+
+def _independent_on_sight(columns: Sequence[Mapping]) -> bool:
+    """True iff every column is one nonzero entry on its own key; the scan
+    stops at the first column that is not."""
+    seen = set()
+    for column in columns:
+        if len(column) != 1:
+            return False
+        ((key, value),) = column.items()
+        if not value or key in seen:
+            return False
+        seen.add(key)
+    return True
 
 
 def _subtract(target: Dict, factor: Fraction, source: Mapping) -> None:

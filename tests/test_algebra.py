@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from icdof.algebra import (
     AlgebraElement,
-    distinct_single_terms,
     enumerate_monomials,
     monomial_count,
     monomial_key,
@@ -152,24 +151,3 @@ class TestEvaluate:
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             AlgebraElement.generator(2, 0).evaluate([1.0])
-
-
-class TestDistinctSingleTerms:
-    def test_distinct_single_terms(self):
-        x1 = AlgebraElement.generator(2, 0)
-        x2 = AlgebraElement.generator(2, 1)
-        values = [AlgebraElement.constant(2, 3), x1.scale(Fraction(1, 2)), x1 * x2]
-        assert distinct_single_terms(values) == [
-            ((0, 0), Fraction(3)), ((1, 0), Fraction(1, 2)), ((1, 1), Fraction(1))
-        ]
-        assert distinct_single_terms([]) == []
-
-    def test_refuses_repeated_monomial(self):
-        x1 = AlgebraElement.generator(2, 0)
-        assert distinct_single_terms([x1, x1.scale(2)]) is None
-
-    def test_refuses_multi_term_and_zero(self):
-        x1 = AlgebraElement.generator(2, 0)
-        one = AlgebraElement.constant(2, 1)
-        assert distinct_single_terms([x1 + one]) is None
-        assert distinct_single_terms([AlgebraElement.zero(2)]) is None

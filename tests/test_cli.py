@@ -361,6 +361,27 @@ class TestIfsSubcommand:
         assert code == 1
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("spec", [
+        '{"r": "1/0", "atoms": [0, 1]}',
+        '{"r": "1/3", "atoms": [0, "3/0"]}',
+        '{"r": "1/3", "atoms": [0, 1], "probs": ["1/0", "1/2"]}',
+        '{"r": "1/3", "atoms": [0, 1], "probs": [null, "1/2"]}',
+    ], ids=["r", "atom", "prob", "null-prob"])
+    @pytest.mark.parametrize("command", ["ifs", "estimate"])
+    def test_malformed_number(self, capsys, command, spec):
+        code, _, err = run(capsys, command, "--spec", spec)
+        assert code == 1
+        assert "malformed number" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("flag", ["--overlap-depth", "--sample"])
+    def test_explicit_zero_refused(self, capsys, tmp_path, flag):
+        code, out, err = run(
+            capsys, "ifs", "--spec", CANTOR_SPEC, flag, "0",
+            "--samples-out", str(tmp_path / "draws.csv"),
+        )
+        assert code == 1 and out == ""
+        assert "must be >= 1" in json.loads(err)["error"]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -144,6 +144,43 @@ class TestLinalg:
         assert all(isinstance(v, int) for row in echelon for v in row)
 
 
+class TestEliminateOnSight:
+    """Which families ``eliminate_columns`` decides without a reduction."""
+
+    def test_distinct_single_keys(self, monkeypatch):
+        # No column is reduced, and the cap, lowered below n, is not applied.
+        def refuse(*args):
+            raise AssertionError("a column was reduced")
+
+        monkeypatch.setattr(linalg, "_subtract", refuse)
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 2)
+        x1 = AlgebraElement.generator(2, 0)
+        x2 = AlgebraElement.generator(2, 1)
+        values = [AlgebraElement.constant(2, 3), x1.scale(Fraction(1, 2)), x1 * x2]
+        assert linalg.eliminate_columns([v.terms for v in values]) == (3, None)
+        assert linalg.eliminate_columns([]) == (0, None)
+
+    def test_repeated_key_is_reduced(self, monkeypatch):
+        x1 = AlgebraElement.generator(2, 0)
+        columns = [x1.terms, x1.scale(2).terms]
+        assert linalg.eliminate_columns(columns) == (1, [2, -1])
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 1)
+        with pytest.raises(CapExceededError):
+            linalg.eliminate_columns(columns)
+
+    def test_two_entry_and_empty_columns_are_reduced(self, monkeypatch):
+        x1 = AlgebraElement.generator(2, 0)
+        one = AlgebraElement.constant(2, 1)
+        two_entries = [(x1 + one).terms, x1.terms]
+        empty = [AlgebraElement.zero(2).terms]
+        assert linalg.eliminate_columns(two_entries) == (2, None)
+        assert linalg.eliminate_columns(empty) == (0, [1])
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 0)
+        for columns in (two_entries, empty):
+            with pytest.raises(CapExceededError):
+                linalg.eliminate_columns(columns)
+
+
 class TestMonomialFamily:
     def test_degree_zero_family(self):
         m = generic_channel(2)
@@ -172,8 +209,8 @@ class TestMonomialFamily:
 
     def test_phi_cap(self, monkeypatch):
         # The cap sits on the elimination: a family of 2*phi(2) = 12 values
-        # is refused before its integer matrix is built when it needs
-        # Bareiss, and passes when it is structural.
+        # is refused before any column is reduced when it needs the
+        # reduction, and passes when it is independent on sight.
         monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 10)
         shared = load_channel({
             "K": 2,
@@ -181,7 +218,7 @@ class TestMonomialFamily:
             "entries": [["h11", "g"], ["g", "h22"]],
         })
         monkeypatch.setattr(condition, "integer_columns", _refuse("matrix"))
-        monkeypatch.setattr(linalg, "eliminate_columns", _refuse("elimination"))
+        monkeypatch.setattr(linalg, "_subtract", _refuse("reduction"))
         with pytest.raises(CapExceededError):
             check_condition_star(shared, 2, 1)
         verdict = check_condition_star(generic_channel(2), 2, 1)
@@ -230,7 +267,7 @@ class TestGenericIndependence:
             raise AssertionError("elimination ran on a distinct single-term family")
 
         monkeypatch.setattr(linalg, "bareiss_echelon", refuse)
-        monkeypatch.setattr(linalg, "eliminate_columns", refuse)
+        monkeypatch.setattr(linalg, "_subtract", refuse)
         report = check_all(generic_channel(3), 3)
         assert report.independent
         assert all(v.rank == v.family_size == 168 for v in report.verdicts)

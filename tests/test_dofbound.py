@@ -13,6 +13,7 @@ from icdof.channel import (
     load_channel,
     rational_channel,
     integer_offdiag_channel,
+    store_channel,
 )
 from icdof.dofbound import (
     build_w_n,
@@ -30,7 +31,7 @@ from icdof.dofbound import (
     to_ifs,
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
-from icdof import condition, dofbound
+from icdof import condition, dofbound, linalg
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
 SHARED_GENERATOR_K2 = {
@@ -141,6 +142,29 @@ class TestBuildWN:
         assert report.total == 0.1440386719039749
         with pytest.raises(AssertionError, match="enumerated"):
             next(iter(c.elements))
+
+    def test_independent_multi_term_basis_not_enumerated(self, monkeypatch):
+        # h12 = h12 + h13 makes the basis multi-term; it is still
+        # independent, so |W_N| = 3^28 is read off its rank.
+        def refuse(*args):
+            raise AssertionError("W_N was enumerated")
+
+        monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
+        doc = store_channel(generic_channel(3))
+        doc["entries"][0][1] = "h12 + h13"
+        c = build_w_n(load_channel(doc), 2, 3)
+        assert c.cardinality == 3**28
+        assert c.unique_representation
+
+    def test_one_letter_needs_no_rank(self, monkeypatch):
+        # The colliding basis {1, g, g} is wider than the lowered cap, which
+        # refuses its rank at N=2; at N=1 W_N is one letter and no rank runs.
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 2)
+        with pytest.raises(CapExceededError):
+            build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 2)
+        c = build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 1)
+        assert c.cardinality == len(list(c.elements)) == 1
+        assert c.unique_representation
 
     def test_collisions_enumerated_eagerly(self, monkeypatch):
         c = build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 2)

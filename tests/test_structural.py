@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 from icdof import linalg
-from icdof.algebra import AlgebraElement, distinct_single_terms
+from icdof.algebra import AlgebraElement
 from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
     basis_values,
@@ -136,7 +136,7 @@ class TestStructuralIndependence:
         assert verdict.independent == (rank == len(values))
         assert verdict.family_size == len(values)
         if kind == "single":
-            assert distinct_single_terms(values) is not None
+            assert verdict.independent
         if not verdict.independent:
             assert verdict.certificate.is_valid(matrix)
             certificate = verdict.certificate.a + verdict.certificate.b
@@ -168,12 +168,24 @@ def coordinate_cases(draw):
     return matrix, d, N, draw(st.integers(1, K)), draw(st.booleans())
 
 
+REPEATED_MONOMIAL_K2 = load_channel({
+    "K": 2, "generators": ["g", "h11", "h22"],
+    "entries": [["h11", "g"], ["2*g", "h22"]]})
+
+
 class TestCoordinateEntropies:
+    def test_repeated_basis_monomial_is_eligible(self):
+        c = build_w_n(REPEATED_MONOMIAL_K2, 1, 2)
+        assert c.cardinality == 8 and c.unique_representation
+        assert _coordinate_layout(REPEATED_MONOMIAL_K2, 1, True, c) is not None
+
     @settings(max_examples=100, deadline=None)
     @given(coordinate_cases())
     # one coordinate with mixed denominators and a negative coefficient
     @example((load_channel({"K": 2, "generators": ["g"], "entries": [
         ["1/2*g", "-2/3*g"], ["g", "g"]]}), 0, 3, 1, True))
+    # the basis {1, g, 2g} repeats a monomial, yet W_2 has unique representation
+    @example((REPEATED_MONOMIAL_K2, 1, 2, 1, True))
     def test_coordinate_path_matches_materialized_law(self, case):
         matrix, d, N, receiver, include_diagonal = case
         c = build_w_n(matrix, d, N)
