@@ -325,7 +325,7 @@ def cmd_fig1(args) -> int:
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
     spec = parse_ifs_spec(args.spec)
-    if args.k_grid:
+    if args.k_grid is not None:
         grid = _int_list(args.k_grid)
     else:
         grid = dimest.aligned_k_grid(spec, args.kmin, args.kmax)

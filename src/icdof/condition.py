@@ -40,18 +40,23 @@ def basis_values(matrix: ChannelMatrix, d: int):
 
     Unless every entry is a single term, the values will need elimination,
     so the elimination cap is checked before any product is expanded.
+
+    Each value is one product: its graded predecessor (the monomial with its
+    last nonzero exponent lowered by one, which has degree one less and so
+    comes earlier in graded order) times that entry.  Arithmetic is exact,
+    so this equals the product of powers.
     """
     nvars = matrix.K * (matrix.K - 1)
     check_h = off_diagonal(matrix)
     if any(entry.single_term() is None for entry in check_h):
         linalg.check_columns(2 * monomial_count(nvars, d))
-    values = []
-    for mono in enumerate_monomials(nvars, d):
-        value = AlgebraElement.constant(len(matrix.generators), 1)
-        for entry, exp in zip(check_h, mono):
-            if exp:
-                value = value * entry**exp
-        values.append(value)
+    monomials = enumerate_monomials(nvars, d)
+    position = {mono: k for k, mono in enumerate(monomials)}
+    values = [AlgebraElement.constant(len(matrix.generators), 1)]
+    for mono in monomials[1:]:
+        last = max(v for v, exp in enumerate(mono) if exp)
+        predecessor = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+        values.append(values[position[predecessor]] * check_h[last])
     return values
 
 

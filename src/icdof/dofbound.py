@@ -16,18 +16,23 @@ before enumerating the N^phi letter combinations, while convolving a
 sumset, and before allocating a dense scaled-uniform law.  So the size of a
 lazy W_N is not capped at all.
 
-Entropies are computed either by exact convolution keyed on canonical
-polynomial values, or (when the entries and basis values are single terms
-and W_N has a unique representation) by an exact coordinate decomposition:
-each monomial coordinate of the received sum is a sum of independent scaled
-uniforms drawn from disjoint letter coefficients, so the coordinates are
-independent and the entropy is the sum of small one-dimensional convolution
-entropies.  The two routes agree exactly and are cross-checked in the tests;
+Entropies are computed either by exact convolution of integer codes (each
+addend h_ij w is packed into one integer, mixed radix over its scaled
+monomial coordinates, injectively on every partial sum, so numpy adds the
+codes and merges equal ones), or (when the entries and basis values are
+single terms and W_N has a unique representation) by an exact coordinate
+decomposition: each monomial coordinate of the received sum is a sum of
+independent scaled uniforms drawn from disjoint letter coefficients, so the
+coordinates are independent and the entropy is the sum of small
+one-dimensional convolution entropies.  The two routes agree exactly and
+are cross-checked in the tests;
 the decomposition is what makes desk-scale sweeps feasible, since full-sum
 supports grow beyond any materializable size already at d=1, N=3.  Every
 sum of scaled uniforms, here and in the rational example class, goes
 through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
-dense law wider than the support cap before allocating it.
+dense law wider than the support cap before allocating it; each call of
+the bound or the rational example runs it once per distinct coefficient
+signature.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
 for the bound and the sweep.  Containment is certified from the generators
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -62,6 +67,9 @@ from .ifs import IFSSpec
 #: Cap on materialized support sizes (alphabets and sum supports).
 DEFAULT_SUPPORT_CAP = 10**7
 
+#: Codes and counts below this are int64; past it they are Python ints.
+_INT64_LIMIT = 2**62
+
 #: Per-run caveat attached to reports: the dimension formula is evaluated at
 #: r_N itself, assuming the parameter is not in the exceptional set.
 NON_EXCEPTIONAL_NOTE = (
@@ -74,13 +82,20 @@ def entropy_from_counts(counts, total) -> float:
     """Shannon entropy in bits of a distribution given by integer counts.
 
     Counts are grouped by value so uniform-heavy distributions lose no
-    precision to long floating sums; iteration order is fixed.
+    precision to long floating sums; iteration order is fixed.  An ndarray
+    is grouped by ``np.unique``, anything else by a ``Counter``; both give
+    the same (value, multiplicity) pairs in increasing order as Python ints,
+    so the float loop, and the result, are the same bit for bit.
     """
-    groups = Counter(counts)
+    if isinstance(counts, np.ndarray):
+        values, groups = np.unique(counts, return_counts=True)
+        pairs = zip(values.tolist(), groups.tolist())
+    else:
+        pairs = sorted(Counter(counts).items())
     acc = 0.0
-    for value in sorted(groups):
+    for value, group in pairs:
         if value > 0:
-            acc += groups[value] * value * math.log2(value)
+            acc += group * value * math.log2(value)
     return math.log2(total) - acc / total
 
 
@@ -200,17 +215,33 @@ def to_ifs(construction: InputConstruction, valuation: Sequence[float]) -> IFSSp
 # -- exact sum distributions ----------------------------------------------
 
 
-@dataclass
 class SumsetDistribution:
-    """Exact finite law over polynomial values, stored as integer counts."""
+    """Exact finite law over polynomial values, stored as integer codes.
 
-    counts: Dict[AlgebraElement, int]
-    total: int
-    _entropy: float | None = field(default=None, repr=False)
+    ``_codes`` are the distinct packed values of the sum (see
+    :func:`sumset_distribution`) and ``_weights[k]`` counts the letter tuples
+    whose sum packs to ``_codes[k]``.  ``counts``, keyed by the polynomial
+    value itself, is decoded from the codes on first read; the entropy and
+    the support size never decode.
+    """
+
+    def __init__(self, codes: np.ndarray, weights: np.ndarray, total: int,
+                 decode: Callable[[int], AlgebraElement]):
+        self._codes = codes
+        self._weights = weights
+        self.total = total
+        self._decode = decode
+
+    @functools.cached_property
+    def counts(self) -> Dict[AlgebraElement, int]:
+        return {
+            self._decode(code): weight
+            for code, weight in zip(self._codes.tolist(), self._weights.tolist())
+        }
 
     @property
     def support_size(self) -> int:
-        return len(self.counts)
+        return len(self._codes)
 
     def probability(self, element: AlgebraElement) -> Fraction:
         return Fraction(self.counts.get(element, 0), self.total)
@@ -218,11 +249,9 @@ class SumsetDistribution:
     def probabilities(self) -> Dict[AlgebraElement, Fraction]:
         return {e: Fraction(c, self.total) for e, c in self.counts.items()}
 
-    @property
+    @functools.cached_property
     def entropy_bits(self) -> float:
-        if self._entropy is None:
-            self._entropy = entropy_from_counts(self.counts.values(), self.total)
-        return self._entropy
+        return entropy_from_counts(self._weights, self.total)
 
 
 def _participants(matrix: ChannelMatrix, receiver: int, include_diagonal: bool):
@@ -235,29 +264,120 @@ def _participants(matrix: ChannelMatrix, receiver: int, include_diagonal: bool):
     ]
 
 
+def _pack(addends: List[List[AlgebraElement]], ngens: int):
+    """Integer codes of every addend, the code span, and the code decoder.
+
+    Row k of the coordinate vectors (monomial k) is scaled by the lcm of its
+    coefficient denominators, so every coordinate is an integer and the
+    scaling is a bijection.  Participant j's coordinate k lies in
+    [lo_jk, hi_jk], so every partial sum (the empty one included) has its
+    coordinate k in [L_k, H_k] = [sum_j min(lo_jk, 0), sum_j max(hi_jk, 0)].
+    The code sum_k v_k R_k, with R_k the product of the radices
+    H_k' - L_k' + 1 for k' < k, is mixed radix with digits v_k - L_k on that
+    box (shifted by the constant sum_k L_k R_k), so it is injective on every
+    partial sum; it is linear, so the code of a sum is the sum of the codes.
+    Returns ``(codes, span, decode)``: ``codes[j][a]`` codes the a-th addend
+    of participant j and every code of a partial sum lies in (-span, span).
+    """
+    term_maps = [[y.terms for y in row] for row in addends]
+    monomials = sorted({m for row in term_maps for t in row for m in t},
+                       key=monomial_key)
+    index = {m: k for k, m in enumerate(monomials)}
+    scales = [1] * len(monomials)
+    for row in term_maps:
+        for t in row:
+            for m, c in t.items():
+                scales[index[m]] = math.lcm(scales[index[m]], c.denominator)
+    vectors = [
+        [{index[m]: int(c * scales[index[m]]) for m, c in t.items()} for t in row]
+        for row in term_maps
+    ]
+    lows = [0] * len(monomials)
+    highs = [0] * len(monomials)
+    for row in vectors:
+        lo = [0] * len(monomials)
+        hi = [0] * len(monomials)
+        for v in row:
+            for k, x in v.items():
+                lo[k] = min(lo[k], x)
+                hi[k] = max(hi[k], x)
+        lows = [a + b for a, b in zip(lows, lo)]
+        highs = [a + b for a, b in zip(highs, hi)]
+    radices = [h - l + 1 for l, h in zip(lows, highs)]
+    places = [1]
+    for radix in radices:
+        places.append(places[-1] * radix)
+    span = places.pop()
+    base = sum(l * r for l, r in zip(lows, places))
+    codes = [[sum(x * places[k] for k, x in v.items()) for v in row]
+             for row in vectors]
+
+    def decode(code: int) -> AlgebraElement:
+        rest = code - base
+        terms = {}
+        for mono, scale, low, radix in zip(monomials, scales, lows, radices):
+            rest, digit = divmod(rest, radix)
+            if digit + low:
+                terms[mono] = Fraction(digit + low, scale)
+        return AlgebraElement(ngens, terms)
+
+    return codes, span, decode
+
+
+def _add_step(codes: np.ndarray, weights: np.ndarray, step: np.ndarray):
+    """Distinct codes of codes[a] + step[b] with summed weights.
+
+    Weights are exact integers, so grouping equal codes and adding their
+    weights is the exact convolution.  The outer sum runs in blocks of rows
+    with at most ``DEFAULT_SUPPORT_CAP`` entries each; the distinct support
+    is checked against the cap after every block.
+    """
+    rows = max(1, DEFAULT_SUPPORT_CAP // len(step))
+    out_codes, out_weights = codes[:0], weights[:0]
+    for start in range(0, len(codes), rows):
+        block = np.add.outer(codes[start:start + rows], step).ravel()
+        block_weights = np.repeat(weights[start:start + rows], len(step))
+        out_codes, inverse = np.unique(
+            np.concatenate([out_codes, block]), return_inverse=True
+        )
+        merged = np.zeros(len(out_codes), dtype=weights.dtype)
+        np.add.at(merged, inverse, np.concatenate([out_weights, block_weights]))
+        out_weights = merged
+        if len(out_codes) > DEFAULT_SUPPORT_CAP:
+            raise CapExceededError(
+                "sumset support", len(out_codes), DEFAULT_SUPPORT_CAP
+            )
+    return out_codes, out_weights
+
+
 def sumset_distribution(
     matrix: ChannelMatrix,
     receiver: int,
     include_diagonal: bool,
     construction: InputConstruction,
 ) -> SumsetDistribution:
-    """Law of sum_j h_ij W_j over independent uniform letters, by convolution."""
-    ngens = len(matrix.generators)
-    counts: Dict[AlgebraElement, int] = {AlgebraElement.zero(ngens): 1}
-    total = 1
-    for j in _participants(matrix, receiver, include_diagonal):
-        h = matrix.entry(receiver, j)
-        addends = [h * w for w in construction.elements]
-        new: Dict[AlgebraElement, int] = {}
-        for x, cx in counts.items():
-            for y in addends:
-                key = x + y
-                new[key] = new.get(key, 0) + cx
-            if len(new) > DEFAULT_SUPPORT_CAP:
-                raise CapExceededError("sumset support", len(new), DEFAULT_SUPPORT_CAP)
-        counts = new
-        total *= construction.cardinality
-    return SumsetDistribution(counts, total)
+    """Law of sum_j h_ij W_j over independent uniform letters, by convolution.
+
+    Each addend h_ij w is packed into one integer by :func:`_pack`, whose
+    code is linear and injective on every partial sum, so adding codes and
+    merging equal ones is the exact convolution of the polynomial values.
+    Codes and counts are int64 while the code span and the tuple count are
+    below 2^62 (no sum can overflow), and Python ints in object arrays past
+    that.
+    """
+    addends = [
+        [matrix.entry(receiver, j) * w for w in construction.elements]
+        for j in _participants(matrix, receiver, include_diagonal)
+    ]
+    steps, span, decode = _pack(addends, len(matrix.generators))
+    total = construction.cardinality ** len(addends)
+    code_type = np.int64 if span < _INT64_LIMIT else object
+    count_type = np.int64 if total < _INT64_LIMIT else object
+    codes = np.zeros(1, dtype=code_type)
+    weights = np.ones(1, dtype=count_type)
+    for step in steps:
+        codes, weights = _add_step(codes, weights, np.array(step, dtype=code_type))
+    return SumsetDistribution(codes, weights, total, decode)
 
 
 # -- coordinate-decomposition fast path ------------------------------------
@@ -307,31 +427,52 @@ def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
     return c[hi + 1] - c[lo]
 
 
-def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> Tuple[np.ndarray, int]:
-    """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t nonzero ints.
+def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
+    """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t positive ints.
 
-    Returns ``(counts, offset)``: ``counts[k]`` is the number of tuples whose
-    sum is ``offset + k``.  The dense width 1 + (N-1) sum_t |c_t| is checked
-    against the support cap, and the total N^T against what int64 counts
-    hold, before anything is allocated.
+    ``counts[k]`` is the number of tuples whose sum is k.  The dense width
+    1 + (N-1) sum_t c_t is checked against the support cap, and the total
+    N^T against what int64 counts hold, before anything is allocated.
     """
-    width = 1 + (N - 1) * sum(abs(c) for c in coeffs)
+    width = 1 + (N - 1) * sum(coeffs)
     if width > DEFAULT_SUPPORT_CAP:
         raise CapExceededError("scaled-uniform sum width", width, DEFAULT_SUPPORT_CAP)
-    if N ** len(coeffs) > 2**62:
-        raise CapExceededError("scaled-uniform sum counts", N ** len(coeffs), 2**62)
+    if N ** len(coeffs) > _INT64_LIMIT:
+        raise CapExceededError(
+            "scaled-uniform sum counts", N ** len(coeffs), _INT64_LIMIT
+        )
     counts = np.ones(1, dtype=np.int64)
-    offset = 0
-    for h in coeffs:
-        s = abs(h)
+    for s in coeffs:
         out = np.zeros(len(counts) + s * (N - 1), dtype=np.int64)
         for q in range(min(s, len(counts))):
             w = _window_sum(counts[q::s], N)
             out[q + s * np.arange(len(w))] = w
         counts = out
-        if h < 0:
-            offset += h * (N - 1)
-    return counts, offset
+    return counts
+
+
+def _signature(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
+    """Sorted |c_t| of the coefficients rescaled to coprime integers.
+
+    The law of sum_t c_t U_t, U_t i.i.d. uniform on N consecutive integers,
+    depends on the c_t only up to this signature: rescaling every c_t by
+    lcm(denominators) / gcd(numerators) is a bijection of the values, U_t
+    and (N-1) - U_t have the same law on {0..N-1}, so flipping the sign of
+    c_t only shifts the sum, and reordering the addends changes nothing.  None of
+    these changes the multiset of counts, so the entropy and the support
+    size of the law are read off the signature.
+    """
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    numerators = [c.numerator * (denominator // c.denominator) for c in coeffs]
+    g = math.gcd(*numerators)
+    return tuple(sorted(abs(n) // g for n in numerators))
+
+
+def _scaled_uniform_law(signature: Tuple[int, ...], N: int) -> Tuple[float, int]:
+    """(entropy in bits, support size) of sum_t c_t U_t for a signature."""
+    counts = _convolve_scaled_uniform(signature, N)
+    nonzero = counts[counts > 0]
+    return entropy_from_counts(nonzero, N ** len(signature)), len(nonzero)
 
 
 def sum_entropy_stats(
@@ -345,28 +486,23 @@ def sum_entropy_stats(
     Uses the coordinate decomposition when eligible, else materializes the
     exact convolution (subject to the support cap).  A coordinate
     sum_t c_t U_t with U_t uniform on {1..N} is a shift of the same sum over
-    {0..N-1}, and rescaling every c_t by lcm(denominators) / gcd(numerators)
-    is a bijection onto a sum with coprime integer coefficients; neither
-    changes the multiset of counts, so the entropy and support are read off
-    the integer kernel.
+    {0..N-1}, whose entropy and support depend only on its
+    :func:`_signature`, so the integer kernel runs once per distinct
+    signature in the call.  The per-coordinate entropies are added in
+    monomial order.
     """
     layout = _coordinate_layout(matrix, receiver, include_diagonal, construction)
     if layout is None:
         dist = sumset_distribution(matrix, receiver, include_diagonal, construction)
         return dist.entropy_bits, dist.support_size
     N = construction.coeff_range
+    law = functools.cache(lambda signature: _scaled_uniform_law(signature, N))
     entropy = 0.0
     support = 1
     for mono in sorted(layout, key=monomial_key):
-        coeffs = layout[mono]
-        scale = Fraction(
-            math.lcm(*(c.denominator for c in coeffs)),
-            math.gcd(*(c.numerator for c in coeffs)),
-        )
-        counts, _ = _convolve_scaled_uniform([int(c * scale) for c in coeffs], N)
-        nz = counts[counts > 0]
-        entropy += entropy_from_counts(nz.tolist(), N ** len(coeffs))
-        support *= len(nz)
+        h, size = law(_signature(layout[mono]))
+        entropy += h
+        support *= size
     return entropy, support
 
 
@@ -613,7 +749,13 @@ def rational_example(
     desired signal is an integer multiple of the irrational diagonal entry,
     so the two separate exactly and the full-sum entropy is the sum of the
     factor entropies.  The closed-form bound K log2 N / (2 log2(2 h_max K N))
-    is reported alongside the exactly computed total.
+    is reported alongside the exactly computed total.  Receivers whose
+    interference coefficients have the same sorted |h_ij| share one law
+    (a sign flip reflects U onto N-1-U and shifts the sum; see
+    :func:`_signature`), so the kernel runs once per distinct one.  It runs
+    on the coefficients as given, not rescaled, so the width cap applies to
+    the law the report describes.  The interference support of receiver i spans (N-1) times the
+    sums of its negative and of its positive coefficients.
     """
     if K < 2:
         raise ValueError(f"need K >= 2 users, got K={K}")
@@ -636,15 +778,13 @@ def rational_example(
     log_inv_r = 2.0 * math.log2(base)
     h_diag = math.log2(N)
     receivers = []
+    law = functools.cache(lambda signature: _scaled_uniform_law(signature, N))
     lo = hi = 0
     for i in range(K):
-        counts, offset = _convolve_scaled_uniform(
-            [entries[i][j] for j in range(K) if j != i], N
-        )
-        nz = counts[counts > 0]
-        h_int = entropy_from_counts(nz.tolist(), int(N ** (K - 1)))
-        lo = min(lo, offset)
-        hi = max(hi, offset + len(counts) - 1)
+        coeffs = [entries[i][j] for j in range(K) if j != i]
+        h_int, _ = law(tuple(sorted(abs(c) for c in coeffs)))
+        lo = min(lo, (N - 1) * sum(c for c in coeffs if c < 0))
+        hi = max(hi, (N - 1) * sum(c for c in coeffs if c > 0))
         receivers.append(
             ReceiverTerms(
                 receiver=i + 1,

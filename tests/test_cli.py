@@ -307,6 +307,14 @@ class TestEstimate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_k_grid_refused(self, capsys):
+        code, out, err = run(
+            capsys, "estimate", "--spec", CANTOR_SPEC, "--k-grid", "",
+            "--samples", "2000",
+        )
+        assert code == 1 and out == ""
+        assert "k_grid must hold positive integers" in json.loads(err)["error"]
+
     def test_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(CANTOR_SPEC)

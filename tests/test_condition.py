@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from icdof.algebra import AlgebraElement, monomial_count
+from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
 from icdof.channel import (
     generic_channel,
     load_channel,
@@ -202,6 +202,21 @@ class TestMonomialFamily:
         assert set(vals[1:]) == {
             m.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j
         }
+
+    def test_basis_equals_products_of_powers(self):
+        from test_golden import _multi_term_doc
+
+        m = load_channel(_multi_term_doc())
+        entries = [m.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+        one = AlgebraElement.constant(len(m.generators), 1)
+        expected = []
+        for mono in enumerate_monomials(6, 4):
+            value = one
+            for entry, exp in zip(entries, mono):
+                if exp:
+                    value = value * entry**exp
+            expected.append(value)
+        assert basis_values(m, 4) == expected
 
     def test_receiver_out_of_range(self):
         with pytest.raises(ValueError):

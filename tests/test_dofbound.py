@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from icdof.algebra import AlgebraElement, monomial_count
@@ -82,6 +83,19 @@ class TestEntropyFromCounts:
         assert entropy_from_counts(counts, total) == pytest.approx(
             float(exact), abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("kind", ["triangle", "random"])
+    def test_ndarray_matches_list_bit_for_bit(self, kind):
+        if kind == "triangle":
+            counts = list(range(1, 1001)) + list(range(999, 0, -1))
+        else:
+            rng = random.Random(5)
+            counts = [rng.choice([0, rng.randrange(1, 10**6)]) for _ in range(5000)]
+        total = sum(counts)
+        expected = entropy_from_counts(counts, total)
+        for dtype in (np.int64, object):
+            assert entropy_from_counts(np.array(counts, dtype=dtype), total) == expected
 
 
 class TestBuildWN:
@@ -232,6 +246,70 @@ class TestSumsetDistribution:
         monkeypatch.setattr(dofbound, "DEFAULT_SUPPORT_CAP", 100)
         with pytest.raises(CapExceededError, match="sumset support"):
             sumset_distribution(m, 1, True, c)
+
+
+    def test_python_int_codes(self):
+        # at each receiver the g coordinate alone spans more than 2^62 values
+        m = load_channel({
+            "K": 2, "generators": ["g", "h11", "h22"],
+            "entries": [["h11", "12345678901234567891/7*g"],
+                        ["-98765432109876543210/3*g", "h22 + 5"]]})
+        c = build_w_n(m, 0, 3)
+        for receiver in (1, 2):
+            dist = sumset_distribution(m, receiver, True, c)
+            oracle = brute_force_sum_counts(m, receiver, True, c)
+            assert dist._codes.dtype == object
+            assert dist.counts == dict(oracle)
+            assert dist.entropy_bits == entropy_from_counts(oracle.values(), 9)
+
+    def test_python_int_counts(self, monkeypatch):
+        monkeypatch.setattr(dofbound, "_INT64_LIMIT", 2)
+        m = generic_channel(3)
+        c = build_w_n(m, 0, 3)
+        dist = sumset_distribution(m, 2, True, c)
+        assert dist._weights.dtype == object
+        assert dist.counts == dict(brute_force_sum_counts(m, 2, True, c))
+
+    def test_outer_sum_past_cap_with_support_under_it(self, monkeypatch):
+        # 8 x 8 tuple sums, 15 distinct: the outer sum runs in blocks of
+        # at most 20 entries and the support passes the cap
+        monkeypatch.setattr(dofbound, "DEFAULT_SUPPORT_CAP", 20)
+        m = integer_offdiag_channel([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        c = build_w_n(m, 0, 8)
+        dist = sumset_distribution(m, 1, False, c)
+        assert dist.support_size == 15
+        assert dist.counts == dict(brute_force_sum_counts(m, 1, False, c))
+
+
+class TestScaledUniformLaws:
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
+        kernel = dofbound._convolve_scaled_uniform
+
+        def spy(coeffs, N):
+            calls.append(tuple(coeffs))
+            return kernel(coeffs, N)
+
+        monkeypatch.setattr(dofbound, "_convolve_scaled_uniform", spy)
+        return calls
+
+    def test_rational_example_once_per_signature(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
+        rational_example(3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 64)
+        assert calls == [(1, 1)]
+        calls.clear()
+        rep = rational_example(3, [[0, -2, 1], [1, 0, -1], [2, 1, 0]], 5)
+        assert calls == [(1, 2), (1, 1)]
+        assert (rep.interference_min, rep.interference_max) == (-8, 12)
+
+    def test_coordinate_path_once_per_signature(self, monkeypatch):
+        m = generic_channel(3)
+        c = build_w_n(m, 1, 2)
+        expected = sum_entropy_stats(m, 1, True, c)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert sum_entropy_stats(m, 1, True, c) == expected
+        assert sorted(calls) == [(1,), (1, 1)]
 
 
 class TestFastPathAgreement:

@@ -111,12 +111,20 @@ CASES = {
         for d in (0, 1)
         for N in (2, 3, 4)
     },
+    "bound multi3 d=0 N=4": lambda w: _report(
+        w, "bound", "multi3", "--degree", "0", "--range", "4",
+        "--waive-condition"),
+    "bound shared2 d=1 N=2": lambda w: _report(
+        w, "bound", "shared2", "--degree", "1", "--range", "2",
+        "--waive-condition"),
     "sweep generic3 d=0,1 N=2,3": lambda w: _sweep_rows(w, "generic3", "0,1", "2,3"),
     "ifs r=1/2 atoms=0,1,2 overlap-depth=4": lambda w: _plain_report(
         w, "ifs", "--spec", '{"r": "1/2", "atoms": [0, 1, 2]}',
         "--overlap-depth", "4"),
     "example-rational k=3 N=1024": lambda w: _plain_report(
         w, "example-rational", "--k", "3", "--range", "1024"),
+    "example-rational k=4 hmax=3 N=64": lambda w: _plain_report(
+        w, "example-rational", "--k", "4", "--hmax", "3", "--range", "64"),
     "fig1": lambda w: _plain_report(w, "fig1"),
     "estimate cantor samples=4000 seed=3": lambda w: _cli(
         w, ["estimate", "--spec", '{"r": "1/3", "atoms": [0, 2]}',

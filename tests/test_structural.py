@@ -1,12 +1,13 @@
 """Differential tests of the structural shortcuts against their exact oracles.
 
-Random small K=2/3 channels of three kinds: single terms on distinct
+Random small K=2/3 channels of four kinds: single terms on distinct
 generators (the shortcuts always apply), single terms on a shared pool of
-generators (monomials may collide), and entries of up to three terms.  The
-oracles are the tuple enumeration of W_N and Bareiss elimination of the
-receiver family, called directly, the materialized convolution of the
-received sums, and the per-element kernel read of the interference support
-that containment used to run.
+generators (monomials may collide), entries of up to three terms, and
+rational constants.  The oracles are the tuple enumeration of W_N and of
+the received sums, Bareiss elimination of the receiver family, called
+directly, the materialized convolution of the received sums, and the
+per-element kernel read of the interference support that containment used
+to run.
 """
 
 import itertools
@@ -30,9 +31,11 @@ from icdof.dofbound import (
     _enumerate_letters,
     build_w_n,
     containment_check,
+    entropy_from_counts,
     sum_entropy_stats,
     sumset_distribution,
 )
+from test_dofbound import brute_force_sum_counts
 
 KINDS = ("single", "shared", "multi")
 
@@ -63,6 +66,8 @@ def channels(draw, kind, K):
             terms = {tuple(exps): draw(coefficients)}
         elif kind == "shared":
             terms = {monomial(): draw(coefficients)}
+        elif kind == "rational":
+            terms = {(0,) * ngens: draw(coefficients)}
         else:
             count = draw(st.integers(1, 3))
             terms = {monomial(): draw(coefficients) for _ in range(count)}
@@ -194,6 +199,38 @@ class TestCoordinateEntropies:
         dist = sumset_distribution(matrix, receiver, include_diagonal, c)
         assert support == dist.support_size
         assert abs(entropy - dist.entropy_bits) <= 1e-12
+
+
+@st.composite
+def sum_law_cases(draw):
+    """(channel, d, N, receiver, include_diagonal) with at most 729 tuples.
+
+    Multi-term, constant (rational) and shared-generator single-term entries,
+    coefficients of either sign with denominators up to 3.
+    """
+    K = draw(st.sampled_from([2, 3]))
+    matrix = draw(channels(draw(st.sampled_from(["multi", "rational", "shared"])), K))
+    d = draw(st.integers(0, 1 if K == 2 else 0))
+    N = draw(st.integers(1, 3))
+    return matrix, d, N, draw(st.integers(1, K)), draw(st.booleans())
+
+
+class TestSumLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(sum_law_cases())
+    def test_counts_match_tuple_enumeration(self, case):
+        matrix, d, N, receiver, include_diagonal = case
+        c = build_w_n(matrix, d, N)
+        dist = sumset_distribution(matrix, receiver, include_diagonal, c)
+        oracle = brute_force_sum_counts(matrix, receiver, include_diagonal, c)
+        assert dist.counts == dict(oracle)
+        assert dist.total == sum(oracle.values())
+        h_oracle = entropy_from_counts(oracle.values(), dist.total)
+        assert dist.entropy_bits == h_oracle
+        entropy, support = sum_entropy_stats(matrix, receiver, include_diagonal, c)
+        assert support == len(oracle)
+        if _coordinate_layout(matrix, receiver, include_diagonal, c) is None:
+            assert entropy == h_oracle
 
 
 @st.composite
