@@ -4,6 +4,17 @@ An :class:`IFSSpec` fixes the maps x -> r*x + w_i and the probability vector
 over the offsets.  The module evaluates the entropy/log-contraction dimension
 formula, the open-set separation bound, an exact-overlap search over words of
 equal depth, and deterministic truncated-series sampling.
+
+Both fast paths return exactly what the plain computation returns:
+
+* The overlap search of a rational spec compares integers: depth-L base
+  points scaled by the positive constant D*q^(L-1) (D the lcm of the atom
+  denominators, r = p/q), which keeps their order and equality.
+* Labels are drawn as ``Generator.choice(n, p=probs)`` draws them, from the
+  same uniforms against the same normalised cdf, but the first i with
+  cdf[i] > u is read from a guide table and one vectorized step, and found
+  by ``choice``'s binary search only where those leave it open; see
+  :func:`_label_sampler`.
 """
 
 from __future__ import annotations
@@ -20,6 +31,9 @@ from .errors import CapExceededError
 
 #: Cap on the number of equal-length word pairs inspected by the overlap search.
 DEFAULT_PAIR_CAP = 5 * 10**6
+
+#: The label sampler's guide table has at most 2**_GUIDE_BITS entries (8 MB).
+_GUIDE_BITS = 20
 
 
 def _as_number(x):
@@ -135,20 +149,25 @@ def exact_overlap_search(
         raise CapExceededError(
             "overlap word pairs (reduce max_depth)", total_pairs, DEFAULT_PAIR_CAP
         )
-    exact = spec.is_rational() and tolerance == 0
-    atoms = spec.atoms if exact else [float(a) for a in spec.atoms]
-    r = spec.r if exact else float(spec.r)
+    if spec.is_rational() and tolerance == 0:
+        # Base points times D*q^(L-1) are integers V_L = q*V_(L-1) + p^(L-1)*D*a.
+        den = math.lcm(*(a.denominator for a in spec.atoms))
+        atoms = [int(a * den) for a in spec.atoms]
+        grow, ratio = spec.r.denominator, spec.r.numerator
+    else:
+        atoms = [float(a) for a in spec.atoms]
+        grow, ratio = 1, float(spec.r)
     out: List[OverlapPair] = []
     # Words in product (lexicographic) order with their base points, each
     # depth extended from the last by one appended letter and one add.
     words = [()]
-    values = [Fraction(0) if exact else 0.0]
-    scale = Fraction(1) if exact else 1.0
+    values = [0]
+    scale = 1
     for depth in range(1, max_depth + 1):
         steps = [scale * a for a in atoms]
         words = [word + (idx,) for word in words for idx in range(n)]
-        values = [v + step for v in values for step in steps]
-        scale *= r
+        values = [grow * v + step for v in values for step in steps]
+        scale *= ratio
         order = sorted(range(len(words)), key=lambda t: (values[t], words[t]))
         # |v_a - v_b| <= tol pairs found by a sliding window over sorted values.
         for pos_a in range(len(order)):
@@ -169,6 +188,42 @@ def _split_sizes(count: int, chunks: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
+def _label_sampler(spec: IFSSpec):
+    """``draw(rng, size)``: the labels ``Generator.choice(spec.n, size, p=probs)``
+    returns for ``rng``, with probs the normalised float label law.
+
+    It consumes the same ``rng.random(size)`` and builds the same
+    ``cdf = probs.cumsum(); cdf /= cdf[-1]`` that ``choice`` does.  The label
+    of u is the first i with cdf[i] > u, which ``choice`` finds by binary
+    search.  Here a guide table (Chen-Asau indexed search) over M = 2^m >= 4n
+    buckets finds it: M is a power of two, so the bucket b = floor(u*M) and
+    its edges b/M, (b+1)/M are exact.  ``lo[b]``, the first i with
+    cdf[i] > b/M, is at most the label, and falls short of it by at most the
+    number of cdf values strictly inside the bucket.  One step
+    ``idx += cdf[idx] <= u`` therefore settles every bucket holding at most
+    one such value.  If a bucket holds more, the draws still unsettled take
+    ``choice``'s own binary search.
+    """
+    probs = np.array([float(p) for p in spec.probs])
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << min((4 * spec.n - 1).bit_length(), _GUIDE_BITS)
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    crowded = (np.searchsorted(cdf, edges[1:], side="left") - lo).max() > 1
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        idx = lo[(u * buckets).astype(np.intp)]
+        idx += cdf[idx] <= u
+        if crowded:
+            late = np.flatnonzero(cdf[idx] <= u)
+            idx[late] = cdf.searchsorted(u[late], side="right")
+        return idx
+
+    return draw
+
+
 def sample(
     spec: IFSSpec,
     depth: int,
@@ -179,7 +234,10 @@ def sample(
     """``count`` draws of the depth-truncated series sum_{k<depth} r^k W_k.
 
     Deterministic for a fixed (seed, chunks); chunk seeds are derived by
-    seed-sequence spawning so chunks can be generated independently.
+    seed-sequence spawning so chunks can be generated independently.  Chunks
+    beyond ``count`` would be empty and are not spawned: a child's seed does
+    not depend on how many siblings are spawned after it.  Adding
+    ``(scale*atoms)[idx]`` adds the same products as ``scale*atoms[idx]``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -187,22 +245,19 @@ def sample(
         raise ValueError("count must be >= 1")
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
+    chunks = min(chunks, count)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(chunks)
     atoms = spec.atoms_float()
-    probs = np.array([float(p) for p in spec.probs])
-    probs = probs / probs.sum()
+    draw = _label_sampler(spec)
     r = float(spec.r)
     parts = []
     for child, size in zip(children, _split_sizes(count, chunks)):
-        if size == 0:
-            continue
         rng = np.random.default_rng(child)
         acc = np.zeros(size)
         scale = 1.0
         for _ in range(depth):
-            idx = rng.choice(spec.n, size=size, p=probs)
-            acc += scale * atoms[idx]
+            acc += (scale * atoms)[draw(rng, size)]
             scale *= r
         parts.append(acc)
     return np.concatenate(parts)
@@ -239,8 +294,7 @@ def fixed_point_discrepancy(
     s_direct, s_scaled, s_offset = ss.spawn(3)
     direct = sample(spec, depth, count, s_direct)
     inner = sample(spec, depth - 1, count, s_scaled)
-    rng = np.random.default_rng(s_offset)
-    probs = np.array([float(p) for p in spec.probs])
-    offsets = spec.atoms_float()[rng.choice(spec.n, size=count, p=probs / probs.sum())]
+    draw = _label_sampler(spec)
+    offsets = spec.atoms_float()[draw(np.random.default_rng(s_offset), count)]
     r2 = float(spec.r) if r_second is None else float(r_second)
     return float(ks_2samp(direct, r2 * inner + offsets).statistic)

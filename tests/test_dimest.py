@@ -1,8 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icdof.dimest import (
     aligned_k_grid,
@@ -55,6 +57,37 @@ class TestQuantizedEntropy:
             quantized_entropy(np.zeros(5), 0)
         with pytest.raises(ValueError):
             quantized_entropy(np.zeros(0), 2)
+
+
+def unique_entropy(samples, k, miller_madow):
+    """``quantized_entropy`` as it was written with ``np.unique``, the oracle
+    for the run-length count on sorted cells."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    _, counts = np.unique(np.floor(k * samples), return_counts=True)
+    p = counts / n
+    entropy = float(-(p * np.log2(p)).sum())
+    if miller_madow:
+        entropy += (len(counts) - 1) / (2 * n * math.log(2))
+    return entropy
+
+
+class TestQuantizedEntropyMatchesUnique:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]),
+            min_size=1, max_size=300,
+        ),
+        st.integers(1, 10**9),
+        st.booleans(),
+    )
+    def test_equals_unique_oracle_sorted_and_unsorted(self, values, k, mm):
+        samples = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for x in (samples, np.sort(samples)):
+                assert quantized_entropy(x, k, mm) == unique_entropy(x, k, mm)
 
 
 class TestDepthAndGrid:

@@ -13,6 +13,7 @@ payload, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -21,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from icdof import ifs
 from icdof.channel import generic_channel, load_channel, store_channel
-from icdof.cli import main
+from icdof.cli import main, parse_ifs_spec
 from icdof.dofbound import build_w_n, to_ifs
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_payloads.json"
@@ -94,6 +96,28 @@ def _atoms(matrix, d, N, valuation):
     return [float(a) for a in to_ifs(build_w_n(matrix, d, N), valuation).atoms]
 
 
+def _w3_spec() -> str:
+    """The 27 letters of generic K=2 W_N at d=1, N=3 as atoms, r = 1/729."""
+    spec = to_ifs(build_w_n(generic_channel(2), 1, 3), [1.1, 1.3, 1.7, 1.9])
+    return json.dumps({"r": f"{spec.r.numerator}/{spec.r.denominator}",
+                       "atoms": [float(a) for a in spec.atoms]})
+
+
+#: Four atoms with a zero-probability atom and a dominant one.
+SKEWED_SPEC = json.dumps({"r": "2/5", "atoms": [0, 1, 3, "7/2"],
+                          "probs": ["1/10", "0", "6/10", "3/10"]})
+
+
+def _sample_digest(work: Path) -> dict:
+    path = work / "samples.f64"
+    report = _plain_report(
+        work, "ifs", "--spec", SKEWED_SPEC, "--sample", "4096", "--format",
+        "f64", "--threads", "3", "--seed", "11", "--samples-out", str(path))
+    assert report.pop("samples_out") == str(path)
+    return {"report": report,
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 CASES = {
     "check generic3 d=2": lambda w: _report(w, "check", "generic3", "--degree", "2"),
     "check product3 d=2": lambda w: _report(w, "check", "product3", "--degree", "2"),
@@ -130,6 +154,14 @@ CASES = {
         w, ["estimate", "--spec", '{"r": "1/3", "atoms": [0, 2]}',
             "--k-grid", "9,27,81", "--samples", "4000", "--seed", "3"],
     ).splitlines()[1:],
+    "estimate w3 samples=20000 threads=2 seed=5": lambda w: _cli(
+        w, ["estimate", "--spec", _w3_spec(), "--kmin", "729",
+            "--kmax", str(729**3), "--samples", "20000", "--threads", "2",
+            "--seed", "5"],
+    ).splitlines()[1:],
+    "ifs skewed sample=4096 f64 threads=3 seed=11": _sample_digest,
+    "fixed_point_discrepancy skewed depth=6 count=3001 seed=7": lambda w: (
+        ifs.fixed_point_discrepancy(parse_ifs_spec(SKEWED_SPEC), 6, 3001, 7)),
     "to_ifs generic2 d=1 N=3": lambda w: _atoms(
         generic_channel(2), 1, 3, [1.1, 1.3, 1.7, 1.9]),
     "to_ifs shared2 d=1 N=3": lambda w: _atoms(

@@ -1,10 +1,13 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from icdof import ifs as ifs_module
 from icdof.errors import CapExceededError
 from icdof.ifs import (
     IFSSpec,
@@ -228,6 +231,125 @@ class TestSampling:
         ]:
             with pytest.raises(ValueError):
                 sample(CANTOR, **kwargs)
+
+
+def choice_sample(spec, depth, count, seed, chunks=1):
+    """``sample`` as it was written with ``Generator.choice`` (its chunk
+    split inlined), kept as the oracle for the guide-table label draw."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(chunks)
+    atoms = spec.atoms_float()
+    probs = np.array([float(p) for p in spec.probs])
+    probs = probs / probs.sum()
+    r = float(spec.r)
+    parts = []
+    base, extra = divmod(count, chunks)
+    sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
+    for child, size in zip(children, sizes):
+        if size == 0:
+            continue
+        rng = np.random.default_rng(child)
+        acc = np.zeros(size)
+        scale = 1.0
+        for _ in range(depth):
+            idx = rng.choice(spec.n, size=size, p=probs)
+            acc += scale * atoms[idx]
+            scale *= r
+        parts.append(acc)
+    return np.concatenate(parts)
+
+
+@st.composite
+def label_laws(draw):
+    """Specs with 1..100 atoms whose label law may hold zero-probability
+    atoms and one dominant atom."""
+    n = draw(st.integers(1, 100))
+    weights = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, n - 1))] += draw(st.integers(1, 10**6))
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    r = draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5), 0.37]))
+    atoms = tuple(Fraction(3 * i + 1, 7) for i in range(n))
+    return IFSSpec(r, atoms, tuple(Fraction(w, total) for w in weights))
+
+
+class TestSampleMatchesChoice:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        label_laws(),
+        st.integers(1, 6),
+        st.one_of(st.integers(1, 4), st.integers(5, 3000)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+    )
+    @example(IFSSpec(Fraction(1, 2), (0,)), 3, 2, 0, 4)
+    @example(IFSSpec(Fraction(1, 3), (0, 1, 2),
+                     (Fraction(994, 1000), Fraction(0), Fraction(6, 1000))),
+             6, 3000, 1, 3)
+    def test_bytes_equal_choice_oracle(self, spec, depth, count, seed, chunks):
+        got = sample(spec, depth, count, seed, chunks=chunks)
+        want = choice_sample(spec, depth, count, seed, chunks=chunks)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_binary_search_fallback_equals_choice_oracle(self, n, monkeypatch):
+        # A 4-entry guide table leaves most draws to the binary search.
+        monkeypatch.setattr(ifs_module, "_GUIDE_BITS", 2)
+        weights = [(7 * i) % 5 for i in range(n - 1)] + [1]
+        probs = tuple(Fraction(w, sum(weights)) for w in weights)
+        spec = IFSSpec(Fraction(1, 3), tuple(range(n)), probs)
+        got = sample(spec, 3, 5000, 4, chunks=2)
+        assert got.tobytes() == choice_sample(spec, 3, 5000, 4, chunks=2).tobytes()
+
+    @pytest.mark.parametrize("sixteenths,guide_bits", [
+        ((1, 1, 0, 1, 13), 2),
+        ((1, 1, 0, 1, 13), ifs_module._GUIDE_BITS),
+        ((6, 10), 2),
+    ])
+    def test_ties_at_cdf_values_and_bucket_edges(self, sixteenths, guide_bits,
+                                                 monkeypatch):
+        # Dyadic probabilities make every cdf value a possible uniform.  With
+        # 4 buckets the first law crowds four values into bucket 0 and the
+        # second puts 3/8 alone inside bucket 1.
+        monkeypatch.setattr(ifs_module, "_GUIDE_BITS", guide_bits)
+        spec = IFSSpec(Fraction(1, 3), tuple(range(len(sixteenths))),
+                       tuple(Fraction(k, 16) for k in sixteenths))
+        cdf = np.array([float(p) for p in spec.probs]).cumsum()
+        points = np.concatenate([cdf[:-1], np.arange(64) / 64])
+        u = np.unique(np.concatenate([points, np.nextafter(points, 0),
+                                      np.nextafter(points, 1)]))
+        u = u[(u >= 0) & (u < 1)]
+
+        class FixedUniforms:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        labels = ifs_module._label_sampler(spec)(FixedUniforms(), u.size)
+        assert np.array_equal(labels, cdf.searchsorted(u, side="right"))
+
+    @settings(max_examples=15, deadline=None)
+    @given(label_laws(), st.integers(0, 2**32 - 1))
+    def test_fixed_point_offsets_equal_choice_oracle(self, spec, seed):
+        from scipy.stats import ks_2samp
+
+        depth, count = 3, 500
+        direct_ss, scaled_ss, offset_ss = np.random.SeedSequence(seed).spawn(3)
+        direct = choice_sample(spec, depth, count, direct_ss)
+        inner = choice_sample(spec, depth - 1, count, scaled_ss)
+        probs = np.array([float(p) for p in spec.probs])
+        offsets = spec.atoms_float()[np.random.default_rng(offset_ss).choice(
+            spec.n, size=count, p=probs / probs.sum())]
+        want = ks_2samp(direct, float(spec.r) * inner + offsets).statistic
+        assert fixed_point_discrepancy(spec, depth, count, seed) == want
+
+    def test_surplus_chunks_cost_nothing(self):
+        started = time.perf_counter()
+        many = sample(CANTOR, 4, 10, seed=9, chunks=10**6)
+        assert time.perf_counter() - started < 5.0
+        assert many.tobytes() == sample(CANTOR, 4, 10, seed=9, chunks=10).tobytes()
 
 
 class TestTruncation:
