@@ -13,7 +13,6 @@ independence), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -22,8 +21,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, condition, dimest, dofbound, ifs
 from .algebra import monomial_count
@@ -39,21 +36,8 @@ def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _encode(obj):
-    """``json.dumps`` hook for the leaves JSON cannot write itself."""
-    if isinstance(obj, Fraction):
-        return _fraction_str(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _digest(path) -> str:
@@ -84,7 +68,7 @@ def _write_report(manifest: dict, report: dict, started: float, out_path) -> Non
 
 
 def _csv_payload(manifest: dict, header: list[str], rows: list[list]) -> str:
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True, default=_encode)]
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))

@@ -20,15 +20,12 @@ An "independent" verdict is certified only up to the tested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import List, Tuple
 
 from .algebra import (
     AlgebraElement,
     enumerate_monomials,
     monomial_count,
-    monomial_key,
 )
 from .channel import ChannelMatrix, off_diagonal
 from .errors import ConditionNotSatisfiedError
@@ -122,27 +119,6 @@ class ConditionReport:
         return all(v.independent for v in self.verdicts)
 
 
-def integer_columns(values: List[AlgebraElement]) -> List[List[int]]:
-    """Coefficient matrix with one column per value, one row per monomial.
-
-    Rows are scaled to integers by their denominator lcm; row scaling leaves
-    the null space (the certificate space) unchanged.  The dense Bareiss
-    input that tests check ``linalg.eliminate_columns`` against; no caller
-    in the package.
-    """
-    monomials = sorted(
-        {m for v in values for m in v.terms}, key=monomial_key
-    )
-    rows: List[List[int]] = []
-    for mono in monomials:
-        coeffs = [v.terms.get(mono, Fraction(0)) for v in values]
-        denom = 1
-        for c in coeffs:
-            denom = lcm(denom, c.denominator)
-        rows.append([int(c * denom) for c in coeffs])
-    return rows
-
-
 def check_condition_star(
     matrix: ChannelMatrix,
     d: int,
@@ -154,8 +130,8 @@ def check_condition_star(
 
     ``basis`` is ``basis_values(matrix, d)`` when the caller already has it.
     The values' term maps go to ``linalg.eliminate_columns``; its kernel of
-    the first dependent value is the certificate, and it equals the Bareiss
-    kernel vector of the same family, which the tests check.
+    the first dependent value is the certificate, and it equals the kernel
+    vector of the tests' dense Bareiss reference on the same family.
     """
     if basis is None:
         basis = basis_values(matrix, d)

@@ -35,9 +35,11 @@ the bound or the rational example runs it once per distinct coefficient
 signature.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment is certified from the generators
-h_ij f_alpha of the interference, each checked to equal its degree-(d+1)
-basis value, so it reads no support element and materializes no W_N.
+for the bound and the sweep.  Containment is one rank test: the
+interference generators h_ij f_alpha are the degree-(d+1) basis values
+f_{alpha + e_ij} by construction, so the support lies in the degree-(d+1)
+lattice box as soon as that basis is independent.  It reads no support
+element and materializes no W_N.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    enumerate_monomials,
     monomial_count,
     monomial_key,
     monomial_mul,
@@ -534,7 +535,7 @@ class ContainmentResult:
 def containment_check(
     matrix: ChannelMatrix, receiver: int, d: int, N: int
 ) -> ContainmentResult:
-    """Verify the interference support embeds in the degree-(d+1) lattice box.
+    """Certify the interference support embeds in the degree-(d+1) lattice box.
 
     Every support element must have a representation sum_l a_l f_l(h) over
     the degree-<=(d+1) monomial values with integer coefficients
@@ -542,46 +543,35 @@ def containment_check(
     coefficients are admitted; the reported container cardinality is the
     representation-count bound ((K-1)N)^phi(d+1).)
 
-    The check reads the generators of the interference, not its support.
-    A support element is sum_{j != i} sum_alpha a_{j,alpha} h_ij f_alpha
-    with every a in {1..N}, alpha over the degree-<=d monomials.  If every
-    generator h_ij f_alpha equals the basis value f_{alpha + e_ij}, where
-    e_ij is the off-diagonal variable of (i, j), then the element's
-    coefficient on f_m sums at most one a per interferer (alpha ->
-    alpha + e_ij is injective for a fixed j), so it is an integer in
-    [0, (K-1)N].  The degree-(d+1) values are independent (by
-    ``linalg.eliminate_columns`` over their term maps; a dependent basis
-    raises ``ValueError``), so that is the element's only representation,
-    and the whole support is contained.  Conversely ``contained`` is False
-    as soon as any generator is off its basis value, whether or not that
-    pushes an element out of the box.  The support size comes from
-    :func:`sum_entropy_stats`, so a channel on the coordinate path
-    enumerates no W_N here.
+    ``contained`` is True whenever this answers, and the reason is an
+    identity, not a scan.  A support element is sum_{j != i} sum_alpha
+    a_{j,alpha} h_ij f_alpha with every a in {1..N}, alpha over the
+    degree-<=d monomials.  :func:`condition.basis_values` builds every f_m
+    as a product of the off-diagonal entries in exact, commutative
+    arithmetic, so h_ij f_alpha == f_{alpha + e_ij} holds by construction,
+    where e_ij is the off-diagonal variable of (i, j).  The element's
+    coefficient on f_m therefore sums at most one a per interferer
+    (alpha -> alpha + e_ij is injective for a fixed j), so it is an integer
+    in [0, (K-1)N].  The degree-(d+1) values are independent (by
+    ``linalg.eliminate_columns``' rank over their term maps; a dependent
+    basis raises ``ValueError``), so that is the element's only
+    representation, and the whole support is contained.  The support size
+    comes from :func:`sum_entropy_stats`, so a channel on the coordinate
+    path enumerates no W_N here.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
     construction = build_w_n(matrix, d, N)
-    interferers = _participants(matrix, receiver, False)
+    _participants(matrix, receiver, False)  # refuses an out-of-range receiver
     basis_next = condition_mod.basis_values(matrix, d + 1)
     if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
         raise ValueError(
             "basis values are rationally dependent; representation "
             "extraction is ambiguous for this channel"
         )
-    K = matrix.K
-    monomials = enumerate_monomials(K * (K - 1), d + 1)
-    position = {mono: k for k, mono in enumerate(monomials)}
-    variables = [(a, b) for a in range(1, K + 1) for b in range(1, K + 1) if a != b]
-    shifts = [(j, variables.index((receiver, j))) for j in interferers]
-    contained = all(
-        matrix.entry(receiver, j) * basis_next[k]
-        == basis_next[position[alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]]]
-        for j, v in shifts
-        for k, alpha in enumerate(monomials[: len(construction.basis)])
-    )
     _, support = sum_entropy_stats(matrix, receiver, False, construction)
-    bound = (K - 1) * N
-    return ContainmentResult(contained, bound ** len(basis_next), support)
+    bound = (matrix.K - 1) * N
+    return ContainmentResult(True, bound ** len(basis_next), support)
 
 
 # -- the DoF lower bound ---------------------------------------------------
@@ -702,9 +692,12 @@ def sweep(
 
     At a fixed degree the total is not promised to increase in N: at d=0 it
     is N-invariant (0 for K >= 3), and the approach to K/2 comes from raising d.
+    An empty ``degrees`` or ``ranges`` is refused before any gate runs.
     """
     import time
 
+    if not degrees or not ranges:
+        raise ValueError("sweep needs at least one degree and one range")
     cells = []
     for d in degrees:
         if not waive_condition:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q: sparse column elimination, dense Bareiss.
+"""Exact linear algebra over Q: one sparse column eliminator.
 
 :func:`eliminate_columns` decides every rational-independence question the
 package asks: condition (*), the size of W_N and the containment basis.
@@ -9,10 +9,9 @@ monomials) are independent on sight, with no cap and no reduction.  Any
 other family wider than ``ELIMINATION_COLUMN_CAP`` is refused before any
 work, and otherwise costs what the fill-in of its reduced columns costs.
 
-:func:`bareiss_echelon` (fraction-free, Bareiss, Math. Comp. 22, 1968) and
-the helpers built on it work on dense integer matrices given as lists of
-row lists.  Nothing in the package calls them; they stay as the reference
-the tests compare :func:`eliminate_columns` against.
+The tests compare it against a dense fraction-free Bareiss reference
+(Bareiss, Math. Comp. 22, 1968), which lives with them in
+``tests/reference_linalg.py``.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
     scaled to coprime integers with a positive leading entry, as a vector
     over all columns.  It is 1 on c and 0 after c; the columns before c are
     independent, so the kernel of the first c+1 columns is one-dimensional
-    and this vector is unique.  It is therefore the vector
-    :func:`kernel_from_echelon` returns for the matrix with these columns,
-    whose free variable is the first non-pivot column, c.
+    and this vector is unique.  It is therefore the vector a dense echelon
+    form gives for the matrix with these columns, when its free variable is
+    the first non-pivot column, c, set to 1.
 
     Columns that are each one nonzero entry on a key no other column has
     are independent (each is alone in its row): ``(len(columns), None)`` at
@@ -115,84 +114,6 @@ def _subtract(target: Dict, factor: Fraction, source: Mapping) -> None:
             target[key] = value
         else:
             target.pop(key, None)
-
-
-def bareiss_echelon(matrix: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Row echelon form via fraction-free (Bareiss) elimination.
-
-    Returns ``(echelon, pivot_cols)``; all intermediate entries stay integers.
-    The input is not modified.  The reference :func:`eliminate_columns` is
-    tested against; no caller in the package.
-    """
-    if not matrix:
-        return [], []
-    rows, cols = len(matrix), len(matrix[0])
-    check_columns(cols)
-    m = [list(row) for row in matrix]
-    pivot_cols: List[int] = []
-    prev_pivot = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, rows):
-            factor = m[i][c]
-            for j in range(c, cols):
-                m[i][j] = (pivot * m[i][j] - factor * m[r][j]) // prev_pivot
-        prev_pivot = pivot
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivot_cols
-
-
-def rank(matrix: List[List[int]]) -> int:
-    """Rank by :func:`bareiss_echelon`; a test reference, no caller in the package."""
-    return len(bareiss_echelon(matrix)[1])
-
-
-def kernel_vector(matrix: List[List[int]]) -> List[int] | None:
-    """First kernel basis vector of ``matrix`` (as A x = 0), coprime integers.
-
-    Returns ``None`` for full column rank.  A test reference for
-    :func:`eliminate_columns`; no caller in the package.
-    """
-    if not matrix:
-        return None
-    echelon, pivot_cols = bareiss_echelon(matrix)
-    return kernel_from_echelon(echelon, pivot_cols, len(matrix[0]))
-
-
-def kernel_from_echelon(
-    echelon: List[List[int]], pivot_cols: List[int], cols: int
-) -> List[int] | None:
-    """Kernel vector from a precomputed Bareiss echelon form.
-
-    Deterministic: the first non-pivot column (in the fixed column order) is
-    the free variable set to 1; the result is scaled to coprime integers with
-    positive leading nonzero entry.  Returns ``None`` for full column rank.
-    A test reference for :func:`eliminate_columns`; no caller in the package.
-    """
-    if len(pivot_cols) == cols:
-        return None
-    free_col = next(c for c in range(cols) if c not in set(pivot_cols))
-    x: List[Fraction] = [Fraction(0)] * cols
-    x[free_col] = Fraction(1)
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        p = pivot_cols[r]
-        if p > free_col:
-            continue
-        acc = sum(
-            (Fraction(echelon[r][c]) * x[c] for c in range(p + 1, cols)),
-            Fraction(0),
-        )
-        x[p] = -acc / echelon[r][p]
-    return _coprime(x)
 
 
 def _coprime(x: List[Fraction]) -> List[int]:

@@ -243,6 +243,21 @@ class TestSweep:
         assert code == 1
         assert "CapExceededError" in err and "5589" in err
 
+    @pytest.mark.parametrize("degrees,ranges", [("", "2"), ("1", ",")])
+    def test_empty_grid_refused(self, capsys, generic_file, monkeypatch,
+                                degrees, ranges):
+        def refuse(*args):
+            raise AssertionError("the condition gate ran")
+
+        monkeypatch.setattr(condition, "require_independent", refuse)
+        code, out, err = run(
+            capsys, "sweep", "--channel", generic_file,
+            "--degrees", degrees, "--ranges", ranges,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == (
+            "ValueError: sweep needs at least one degree and one range")
+
 
 class TestExampleRationalAndFig1:
     def test_example_rational(self, capsys):

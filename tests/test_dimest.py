@@ -156,6 +156,12 @@ class TestEstimateDimension:
         assert all(type(v) is float for v in est.pointwise)
         assert type(est.slope) is float
 
+    def test_one_entry_grid(self):
+        # one point fits no line: the slope is H / log2(k), and 0.0 at k = 1
+        est = estimate_dimension(CANTOR, [9], 10_000, seed=0)
+        assert est.slope == est.entropies[0] / math.log2(9)
+        assert estimate_dimension(CANTOR, [1], 1000, seed=0).slope == 0.0
+
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             estimate_dimension(CANTOR, [], 100)

@@ -32,7 +32,7 @@ from icdof.dofbound import (
     to_ifs,
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
-from icdof import condition, dofbound, linalg
+from icdof import dofbound, linalg
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
 SHARED_GENERATOR_K2 = {
@@ -311,6 +311,14 @@ class TestScaledUniformLaws:
         assert sum_entropy_stats(m, 1, True, c) == expected
         assert sorted(calls) == [(1,), (1, 1)]
 
+    def test_kernel_count_limit(self):
+        # N^T counts must fit int64: 2^62 tuples are convolved, 2^63 refused
+        with pytest.raises(CapExceededError):
+            dofbound._convolve_scaled_uniform((1,) * 63, 2)
+        counts = dofbound._convolve_scaled_uniform((1,) * 62, 2)
+        assert int(counts.sum()) == 2**62
+        assert counts[31] == math.comb(62, 31)
+
 
 class TestFastPathAgreement:
     @pytest.mark.parametrize(
@@ -409,18 +417,6 @@ class TestContainment:
         monkeypatch.setattr(dofbound, "sumset_distribution", refuse)
         res = containment_check(generic_channel(3), 1, 1, 2)
         assert res == dofbound.ContainmentResult(True, 4**28, 12288)
-
-    def test_generators_are_checked(self, monkeypatch):
-        # the reversed degree-2 basis is still independent, but h_ij * f_alpha
-        # no longer sits at position alpha + e_ij, so the check must see it
-        basis_values = condition.basis_values
-
-        def reversed_at_two(matrix, d):
-            values = basis_values(matrix, d)
-            return values[::-1] if d == 2 else values
-
-        monkeypatch.setattr(condition, "basis_values", reversed_at_two)
-        assert not containment_check(generic_channel(3), 1, 1, 2).contained
 
 
 class TestRatios:

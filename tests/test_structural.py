@@ -15,14 +15,12 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from icdof import linalg
 from icdof.algebra import AlgebraElement
 from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
     basis_values,
     check_all,
     check_condition_star,
-    integer_columns,
     monomial_values,
 )
 from icdof.dofbound import (
@@ -35,6 +33,7 @@ from icdof.dofbound import (
     sum_entropy_stats,
     sumset_distribution,
 )
+import reference_linalg as dense
 from test_dofbound import brute_force_sum_counts
 
 KINDS = ("single", "shared", "multi")
@@ -134,8 +133,8 @@ class TestStructuralIndependence:
     def test_verdict_and_rank_match_bareiss(self, case):
         kind, matrix, d, receiver = case
         values = monomial_values(matrix, d, receiver)
-        rows = integer_columns(values)
-        rank = len(linalg.bareiss_echelon(rows)[1]) if rows else 0
+        rows = dense.integer_columns(values)
+        rank = len(dense.bareiss_echelon(rows)[1]) if rows else 0
         verdict = check_condition_star(matrix, d, receiver)
         assert verdict.rank == rank
         assert verdict.independent == (rank == len(values))
@@ -145,7 +144,7 @@ class TestStructuralIndependence:
         if not verdict.independent:
             assert verdict.certificate.is_valid(matrix)
             certificate = verdict.certificate.a + verdict.certificate.b
-            assert list(certificate) == linalg.kernel_vector(rows)
+            assert list(certificate) == dense.kernel_vector(rows)
 
     @settings(max_examples=30, deadline=None)
     @given(condition_cases())
@@ -253,7 +252,7 @@ def read_every_element(matrix, receiver, d, N):
     construction = build_w_n(matrix, d, N)
     dist = sumset_distribution(matrix, receiver, False, construction)
     basis = basis_values(matrix, d + 1)
-    if linalg.rank(integer_columns(basis)) < len(basis):
+    if dense.rank(dense.integer_columns(basis)) < len(basis):
         raise ValueError(
             "basis values are rationally dependent; representation "
             "extraction is ambiguous for this channel"
@@ -261,7 +260,7 @@ def read_every_element(matrix, receiver, d, N):
     bound = (matrix.K - 1) * N
     contained = True
     for element in dist.counts:
-        v = linalg.kernel_vector(integer_columns(basis + [element]))
+        v = dense.kernel_vector(dense.integer_columns(basis + [element]))
         coeffs = [] if v is None else [Fraction(-x, v[-1]) for x in v[:-1]]
         if v is None or any(
             a.denominator != 1 or not 0 <= a <= bound for a in coeffs
