@@ -22,6 +22,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, condition, dimest, dofbound, ifs
 from .algebra import monomial_count
 from .channel import load_channel_file
@@ -36,8 +38,58 @@ def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+#: +1 for an opening and -1 for a closing bracket or brace, by byte value.
+_DEPTH_STEP = np.zeros(256, np.int8)
+_DEPTH_STEP[[ord("["), ord("{")]] = 1
+_DEPTH_STEP[[ord("]"), ord("}")]] = -1
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, from the C encoder.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set (CPython 3.11 and earlier).  Here the C encoder writes the compact text with the separators
+    ``","`` and ``": "`` that ``indent=2`` uses, so only the line breaks and
+    indents are missing, and numpy inserts them in one output array:
+
+    * ``ensure_ascii`` escapes every control and non-ASCII character, so the
+      text is ASCII, and a backslash occurs only inside a string, where it
+      opens an escape.  With each escaped backslash pair masked, a ``"`` is a
+      string delimiter exactly when no backslash precedes it, and the parity
+      of their running count tells string bytes from structural ones.
+    * The indented encoder writes ``"\\n"`` plus two spaces per open
+      container after each ``[``/``{`` that is not closed at once and after
+      each ``,``, and the same before each ``]``/``}`` that does not close an
+      empty container.  Numbers, ``true``/``false``/``null`` and
+      ``NaN``/``Infinity`` hold no structural character.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ": ")).encode("ascii")
+    raw = np.frombuffer(text, np.uint8)
+    masked = np.frombuffer(text.replace(b"\\\\", b"\0\0"), np.uint8)
+    quote = masked == ord('"')
+    quote[1:] &= masked[:-1] != ord("\\")
+    inside = np.logical_xor.accumulate(quote)
+    step = _DEPTH_STEP[raw]
+    step[inside] = 0
+    # The encoder's recursion limit bounds the nesting depth far below 2^31;
+    # output offsets are not bounded, so they are intp.
+    depth = np.cumsum(step, dtype=np.int32)
+    opens, closes = step > 0, step < 0
+    # empty[i + 1]: byte i opens an empty container; empty[i]: byte i closes one.
+    empty = np.zeros(raw.size + 1, bool)
+    empty[1:-1] = opens[:-1] & closes[1:]
+    breaks = (opens & ~empty[1:]) | ((raw == ord(",")) & ~inside)
+    shut = closes & ~empty[:-1]
+    width = 2 * depth + 1
+    before, after = width * shut, width * breaks
+    pos = np.cumsum(before + after, dtype=np.intp) - after
+    pos += np.arange(raw.size)
+    out = np.full(pos[-1] + after[-1] + 2, ord(" "), np.uint8)
+    out[pos] = raw
+    out[pos[shut] - before[shut]] = ord("\n")
+    out[pos[breaks] + 1] = ord("\n")
+    out[-1] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 def _digest(path) -> str:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import icdof
 from icdof.channel import generic_channel, store_channel
 from icdof import condition, dofbound
-from icdof.cli import main, parse_ifs_spec
+from icdof.cli import _dump_json, main, parse_ifs_spec
 
 CANTOR_SPEC = '{"r": "1/3", "atoms": [0, 2]}'
 
@@ -405,6 +411,22 @@ class TestIfsSubcommand:
         assert code == 1 and out == ""
         assert "must be >= 1" in json.loads(err)["error"]
 
+    def test_nan_tolerance_refused(self, capsys):
+        code, out, err = run(
+            capsys, "ifs", "--spec", '{"r": "1/2", "atoms": [0, 1, 2]}',
+            "--overlap-depth", "3", "--tolerance", "nan",
+        )
+        assert code == 1 and out == ""
+        assert "tolerance must be >= 0" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("atom", ['"nan"', '"inf"', '"-inf"', "NaN", "-Infinity"])
+    @pytest.mark.parametrize("command", ["ifs", "estimate"])
+    def test_non_finite_atom_refused(self, capsys, command, atom):
+        spec = '{"r": "1/2", "atoms": [0, %s]}' % atom
+        code, out, err = run(capsys, command, "--spec", spec)
+        assert code == 1 and out == ""
+        assert "atoms must be finite" in json.loads(err)["error"]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -437,3 +459,55 @@ class TestParseIfsSpec:
             '{"r": "1/4", "atoms": [0, 1], "probs": ["1/4", "3/4"]}'
         )
         assert str(spec.probs[1]) == "3/4"
+
+
+#: Characters the JSON writer must treat as string content, not layout.
+TRICKY = st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", ":", " ", "\n",
+                          "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"])
+JSON_TEXT = st.text(st.one_of(TRICKY, st.characters()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+        st.floats(), JSON_TEXT,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    @example({"a": "\\\""})
+    @example([[]])
+    @example({"": {}})
+    @example({"k": [{}, [], [[{}]], "[{,:}]"], "": None})
+    @example([float("nan"), float("inf"), -float("inf"), 10**30, True, "\\"])
+    @example(json.loads("[" * 200 + '{"deep": [1]}' + "]" * 200))
+    def test_equals_indented_dumps(self, value):
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    code = """if True:
+        import sys
+        from fractions import Fraction
+        from icdof import cli, ifs
+        spec = ifs.IFSSpec(Fraction(1, 3), (0, 2))
+        ifs.fixed_point_discrepancy(spec, 4, 1000, 0)
+        cli.main(["ifs", "--spec", '{"r": "1/2", "atoms": [0, 1, 2]}',
+                  "--overlap-depth", "3", "--out", sys.argv[1]])
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    src = str(Path(icdof.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["[]"]
+    assert json.loads((tmp_path / "report.json").read_text())["report"]["overlaps"]

@@ -50,6 +50,9 @@ class TestSpecValidation:
                 atoms=(0, 1),
                 probs=(Fraction(3, 2), Fraction(-1, 2)),
             ),
+            dict(r=Fraction(1, 2), atoms=(0, math.nan)),
+            dict(r=Fraction(1, 2), atoms=(0, math.inf)),
+            dict(r=Fraction(1, 2), atoms=(-math.inf, 0)),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
@@ -172,6 +175,7 @@ class TestOverlapSearch:
             2**L * (2**L - 1) // 2 for L in range(1, 4)
         )
         assert len(loose) == n_pairs
+        assert exact_overlap_search(spec, 3, tolerance=math.inf) == loose
 
     def test_separation_implies_no_overlap(self):
         for spec in [
@@ -192,6 +196,13 @@ class TestOverlapSearch:
             exact_overlap_search(CANTOR, 0)
         with pytest.raises(ValueError):
             exact_overlap_search(CANTOR, 2, tolerance=-1)
+
+    def test_nan_tolerance_refused(self):
+        # Every comparison with NaN is false, so no pair would ever end the
+        # sliding window and each one would be reported.
+        with pytest.raises(ValueError, match="tolerance"):
+            exact_overlap_search(IFSSpec(Fraction(1, 2), (0, 1, 2)), 3,
+                                 tolerance=math.nan)
 
 
 class TestSampling:
@@ -364,7 +375,52 @@ class TestTruncation:
         assert np.max(np.abs(deep - shallow)) <= truncation_bound(CANTOR, 6) + 1e-12
 
 
+def fixed_point_samples(spec, depth, count, seed, r_second=None):
+    """The two samples ``fixed_point_discrepancy`` compares, drawn again."""
+    direct_ss, scaled_ss, offset_ss = np.random.SeedSequence(seed).spawn(3)
+    direct = sample(spec, depth, count, direct_ss)
+    inner = sample(spec, depth - 1, count, scaled_ss)
+    draw = ifs_module._label_sampler(spec)
+    offsets = spec.atoms_float()[draw(np.random.default_rng(offset_ss), count)]
+    r2 = float(spec.r) if r_second is None else r_second
+    return direct, r2 * inner + offsets
+
+
+def ks_oracle(x, y):
+    """max |F1(v) - F2(v)| over every sample point v, in exact fractions."""
+    return max(abs(Fraction(int((x <= v).sum()) - int((y <= v).sum()), len(x)))
+               for v in np.concatenate([x, y]))
+
+
+#: Laws on a coarse lattice: at depth 2 or 3 most sample values repeat.
+TIED_SPECS = [
+    IFSSpec(Fraction(1, 2), (0, 1, 2)),
+    IFSSpec(Fraction(1, 2), (0, 1), (Fraction(1, 8), Fraction(7, 8))),
+    IFSSpec(Fraction(1, 3), (0, 1, 2, 5),
+            (Fraction(1, 10), Fraction(0), Fraction(6, 10), Fraction(3, 10))),
+    IFSSpec(Fraction(1, 2), (0,)),
+]
+
+
 class TestFixedPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TIED_SPECS), st.integers(2, 3), st.integers(1, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from([None, 0.5, 0.25]))
+    def test_equals_exact_statistic(self, spec, depth, count, seed, r_second):
+        want = ks_oracle(*fixed_point_samples(spec, depth, count, seed, r_second))
+        got = fixed_point_discrepancy(spec, depth, count, seed, r_second)
+        assert got == float(want)
+
+    def test_large_count_is_a_correctly_rounded_ratio(self):
+        # Past 10,000 draws the statistic is still h/count for the integer
+        # h = max |count*F1 - count*F2| over the sample points.
+        spec, count = TIED_SPECS[2], 20_011
+        x, y = fixed_point_samples(spec, 3, count, 13)
+        points = np.concatenate([x, y])
+        h = np.abs(np.sort(x).searchsorted(points, side="right")
+                   - np.sort(y).searchsorted(points, side="right")).max()
+        assert fixed_point_discrepancy(spec, 3, count, 13) == int(h) / count
+
     def test_small_discrepancy(self):
         stat = fixed_point_discrepancy(CANTOR, depth=16, count=100_000, seed=5)
         assert stat < 0.01
