@@ -21,7 +21,8 @@ from .errors import CapExceededError
 Monomial = Tuple[int, ...]
 
 #: Cap on monomial enumerations, sized by the exact values built from them:
-#: ``check`` on generic K=3 at d=16 (74,613 monomials) takes 21 s and 120 MB.
+#: ``check_all`` on generic K=3 at d=16 (74,613 monomials) takes 4.7-5.7 s
+#: and peaks at 144 MB RSS in a fresh process (2 vCPUs, Python 3.11).
 DEFAULT_MONOMIAL_CAP = 10**5
 
 

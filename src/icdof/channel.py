@@ -9,8 +9,12 @@ polynomial expressions with exact rational coefficients, e.g.::
      "valuation": {"h12": "1.25"},
      "entries": [["0", "h12"], ["2*h21", "3/4"]]}
 
-Expressions are sums of terms ``c * g1^e1 * g2^e2 ...``; the coefficient and
-the ``*`` separators are optional where unambiguous.
+An expression is a sum of terms such as ``-3/4 * g1^2 * g2``.  A term is its
+signs (at least one on every term after the first), then one or more factors.
+A factor is a number ``n`` or ``n/m``, or a generator name with an optional
+``^`` power ``g^e``.  Two factors are joined by ``*``, by whitespace, or by
+nothing where their boundary is plain (``2h12``).  Any other ``*``, as in
+``h12**2`` or ``a*``, is refused.
 """
 
 from __future__ import annotations
@@ -24,93 +28,41 @@ from typing import Dict, List, Sequence, Tuple
 from .algebra import AlgebraElement
 from .errors import ChannelFormatError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<caret>\^)|(?P<star>\*))"
+#: One factor: a name with an optional ``^`` power, or a rational number.
+_FACTOR = r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?|(\d+)(?:/(\d+))?"
+#: One term: its signs, then factors joined by ``*``, whitespace or nothing.
+#: A term ends only where no factor can follow, so every term after the first
+#: starts with a sign.
+_TERM = re.compile(
+    rf"\s*(?P<signs>(?:[+-]\s*)*)"
+    rf"(?P<factors>(?:{_FACTOR})(?:\s*(?:\*\s*)?(?:{_FACTOR}))*)\s*"
 )
+_FACTORS = re.compile(_FACTOR)
 
 
 def parse_element(expr: str, generators: Sequence[str]) -> AlgebraElement:
     """Parse a polynomial expression over the given generator names."""
     index = {name: i for i, name in enumerate(generators)}
     ngens = len(generators)
-    tokens: List[Tuple[str, str]] = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if m is None or m.end() == pos:
-            trailing = expr[pos:].strip()
-            if not trailing:
-                break
-            raise ChannelFormatError(f"cannot tokenize {trailing!r} in {expr!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-
     result = AlgebraElement.zero(ngens)
-    i = 0
-
-    def parse_term(i: int) -> Tuple[AlgebraElement, int]:
-        coeff = Fraction(1)
+    pos = 0
+    while pos == 0 or pos < len(expr):
+        m = _TERM.match(expr, pos)
+        if m is None:
+            raise ChannelFormatError(f"cannot parse {expr[pos:]!r} in {expr!r}")
+        coeff = Fraction(-1 if m["signs"].count("-") % 2 else 1)
         exponents = [0] * ngens
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens):
-            kind, text = tokens[i]
-            if kind == "sign" and not expect_factor:
-                break
-            if kind == "star":
-                expect_factor = True
-                i += 1
-                continue
-            if kind == "number":
-                num, _, den = text.partition("/")
-                if den and int(den) == 0:
-                    raise ChannelFormatError(f"zero denominator in {expr!r}")
-                coeff *= Fraction(int(num), int(den) if den else 1)
-                saw_factor = True
-                expect_factor = False
-                i += 1
-            elif kind == "name":
-                if text not in index:
-                    raise ChannelFormatError(f"unknown generator {text!r} in {expr!r}")
-                exp = 1
-                if i + 1 < len(tokens) and tokens[i + 1][0] == "caret":
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "number":
-                        raise ChannelFormatError(f"malformed exponent in {expr!r}")
-                    exp_text = tokens[i + 2][1]
-                    if "/" in exp_text:
-                        raise ChannelFormatError(f"non-integer exponent in {expr!r}")
-                    exp = int(exp_text)
-                    i += 2
-                exponents[index[text]] += exp
-                saw_factor = True
-                expect_factor = False
-                i += 1
+        for name, exp, num, den in _FACTORS.findall(m["factors"]):
+            if name:
+                if name not in index:
+                    raise ChannelFormatError(f"unknown generator {name!r} in {expr!r}")
+                exponents[index[name]] += int(exp or 1)
+            elif den and int(den) == 0:
+                raise ChannelFormatError(f"zero denominator in {expr!r}")
             else:
-                raise ChannelFormatError(f"unexpected token {text!r} in {expr!r}")
-        if not saw_factor:
-            raise ChannelFormatError(f"empty term in {expr!r}")
-        return AlgebraElement(ngens, {tuple(exponents): coeff}), i
-
-    sign = Fraction(1)
-    saw_any = False
-    pending_sign = False
-    while i < len(tokens):
-        kind, text = tokens[i]
-        if kind == "sign":
-            sign = -sign if text == "-" else sign
-            pending_sign = True
-            i += 1
-            continue
-        term, i = parse_term(i)
-        result = result + term.scale(sign)
-        sign = Fraction(1)
-        pending_sign = False
-        saw_any = True
-    if not saw_any or pending_sign:
-        raise ChannelFormatError(f"empty expression {expr!r}" if not saw_any
-                                 else f"dangling sign in {expr!r}")
+                coeff *= Fraction(int(num), int(den or 1))
+        result = result + AlgebraElement(ngens, {tuple(exponents): coeff})
+        pos = m.end()
     return result
 
 
@@ -189,27 +141,38 @@ def load_channel(doc: dict) -> ChannelMatrix:
     if not isinstance(doc, dict):
         raise ChannelFormatError("channel document must be an object")
     try:
-        K = int(doc["K"])
-        generators = list(doc["generators"])
-        grid = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChannelFormatError(f"malformed channel document: {exc}") from exc
+        K, generators, grid = doc["K"], doc["generators"], doc["entries"]
+    except KeyError as exc:
+        raise ChannelFormatError(f"malformed channel document: missing {exc}") from exc
+    if not isinstance(K, int):
+        raise ChannelFormatError(f"K must be an integer, got {K!r}")
     if K < 2:
         raise ChannelFormatError(f"need K >= 2 users, got K={K}")
+    if not (isinstance(generators, list)
+            and all(isinstance(g, str) for g in generators)):
+        raise ChannelFormatError(f"generators must be a list of names, got {generators!r}")
     if len(set(generators)) != len(generators):
         raise ChannelFormatError("duplicate generator names")
-    if len(grid) != K or any(len(row) != K for row in grid):
+    if not (isinstance(grid, list) and len(grid) == K
+            and all(isinstance(row, list) and len(row) == K for row in grid)):
         raise ChannelFormatError(f"entries must form a {K}x{K} grid")
     entries = tuple(
         tuple(parse_element(str(expr), generators) for expr in row) for row in grid
     )
-    valuation = None
-    if doc.get("valuation") is not None:
-        valuation = {}
-        for name, value in doc["valuation"].items():
+    valuation = doc.get("valuation")
+    if valuation is not None:
+        if not isinstance(valuation, dict):
+            raise ChannelFormatError(f"valuation must be an object, got {valuation!r}")
+        valuation = dict(valuation)
+        for name, value in valuation.items():
             if name not in generators:
                 raise ChannelFormatError(f"valuation for unknown generator {name!r}")
-            valuation[name] = float(value)
+            try:
+                valuation[name] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ChannelFormatError(
+                    f"valuation for {name!r} is not a number: {value!r}"
+                ) from exc
     return ChannelMatrix(K, tuple(generators), entries, valuation)
 
 

@@ -30,9 +30,9 @@ def quantized_entropy(
     """Plug-in entropy in bits of the multiset {floor(k * x)}.
 
     With ``miller_madow`` the small-sample bias correction
-    (occupied - 1)/(2 n ln 2) is added.  Cells that come out sorted (as they
-    do for sorted samples) are counted by their runs; any others are sorted
-    by ``np.unique``, which yields the same counts in the same order.
+    (occupied - 1)/(2 n ln 2) is added.  The cells are counted by their runs;
+    cells that do not come out sorted (as they do for sorted samples) are
+    sorted in place first.  ``-0.0`` and ``0.0`` compare equal and share a run.
     """
     if k < 1:
         raise ValueError(f"quantization level must be >= 1, got {k}")
@@ -42,11 +42,12 @@ def quantized_entropy(
         raise ValueError("need at least one sample")
     cells = k * samples
     np.floor(cells, out=cells)
-    if (cells[1:] >= cells[:-1]).all():
-        starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
-        counts = np.diff(starts, prepend=0, append=n)
-    else:
-        _, counts = np.unique(cells, return_counts=True)
+    if not (cells[1:] >= cells[:-1]).all():
+        cells.sort()
+    if np.isnan(cells[-1]):  # NaN sorts last, and no two NaNs form a run
+        raise ValueError("samples must not be NaN")
+    starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+    counts = np.diff(starts, prepend=0, append=n)
     occupied = len(counts)
     if occupied > n / 10:
         warnings.warn(

@@ -187,11 +187,6 @@ def exact_overlap_search(
     return out
 
 
-def _split_sizes(count: int, chunks: int) -> List[int]:
-    base, extra = divmod(count, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
 def _label_sampler(spec: IFSSpec):
     """``draw(rng, size)``: the labels ``Generator.choice(spec.n, size, p=probs)``
     returns for ``rng``, with probs the normalised float label law.
@@ -240,8 +235,10 @@ def sample(
     Deterministic for a fixed (seed, chunks); chunk seeds are derived by
     seed-sequence spawning so chunks can be generated independently.  Chunks
     beyond ``count`` would be empty and are not spawned: a child's seed does
-    not depend on how many siblings are spawned after it.  Adding
-    ``(scale*atoms)[idx]`` adds the same products as ``scale*atoms[idx]``.
+    not depend on how many siblings are spawned after it.  Each chunk fills
+    its slice of one output array; ``np.array_split`` makes the first
+    ``count % chunks`` slices one longer.  Adding ``(scale*atoms)[idx]`` adds
+    the same products as ``scale*atoms[idx]``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -255,16 +252,14 @@ def sample(
     atoms = spec.atoms_float()
     draw = _label_sampler(spec)
     r = float(spec.r)
-    parts = []
-    for child, size in zip(children, _split_sizes(count, chunks)):
+    out = np.zeros(count)
+    for child, acc in zip(children, np.array_split(out, chunks)):
         rng = np.random.default_rng(child)
-        acc = np.zeros(size)
         scale = 1.0
         for _ in range(depth):
-            acc += (scale * atoms)[draw(rng, size)]
+            acc += (scale * atoms)[draw(rng, acc.size)]
             scale *= r
-        parts.append(acc)
-    return np.concatenate(parts)
+    return out
 
 
 def truncation_bound(spec: IFSSpec, depth: int) -> float:

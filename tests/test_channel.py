@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icdof.algebra import AlgebraElement
 from icdof.channel import (
@@ -65,6 +66,63 @@ class TestParseElement:
             parse_element(bad, GENS)
 
 
+NAMES = ("a", "b", "h12")
+SIGN = st.sampled_from(["+", "-", "+ ", "- "])
+FACTOR = st.one_of(
+    st.tuples(st.integers(0, 60), st.none() | st.integers(1, 60)),
+    st.tuples(st.sampled_from(NAMES), st.none() | st.integers(0, 6),
+              st.sampled_from(["^", " ^ "])),
+)
+BETWEEN = st.sampled_from(["*", " * ", "* ", " ", "\t"])
+
+
+@st.composite
+def expressions(draw):
+    """An expression and the element it denotes, built from the same terms."""
+    text, element = "", AlgebraElement.zero(len(NAMES))
+    for i in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(SIGN, min_size=0 if i == 0 else 1, max_size=3))
+        coeff = Fraction(-1 if "".join(signs).count("-") % 2 else 1)
+        exponents = [0] * len(NAMES)
+        factors = []
+        for factor in draw(st.lists(FACTOR, min_size=1, max_size=4)):
+            if len(factor) == 2:
+                num, den = factor
+                coeff *= Fraction(num, den or 1)
+                factors.append(str(num) if den is None else f"{num}/{den}")
+            else:
+                name, exp, caret = factor
+                exponents[NAMES.index(name)] += 1 if exp is None else exp
+                factors.append(name if exp is None else f"{name}{caret}{exp}")
+        body = factors[0] + "".join(draw(BETWEEN) + f for f in factors[1:])
+        text += (" " if i else "") + "".join(signs) + body
+        element = element + AlgebraElement(len(NAMES), {tuple(exponents): coeff})
+    return text, element
+
+
+class TestGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(expressions())
+    def test_reads_the_terms_it_was_built_from(self, case):
+        text, element = case
+        assert parse_element(text, NAMES) == element
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * len(NAMES)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=60),
+        max_size=6,
+    ))
+    def test_format_round_trip(self, terms):
+        element = AlgebraElement(len(NAMES), terms)
+        assert parse_element(format_element(element, NAMES), NAMES) == element
+
+    @pytest.mark.parametrize("bad", ["h12**2", "*a", "a*", "a* *b", "3+*1", "a*b*"])
+    def test_refuses_stray_star(self, bad):
+        with pytest.raises(ChannelFormatError):
+            parse_element(bad, NAMES)
+
+
 class TestFormatElement:
     @pytest.mark.parametrize(
         "expr",
@@ -77,6 +135,23 @@ class TestFormatElement:
     def test_canonical_order(self):
         e = parse_element("c + a^2 + b", GENS)
         assert format_element(e, GENS) == "c + b + a^2"
+
+
+#: A document over one-letter generators, so that a string or a float in
+#: the wrong place would still read as a channel if it were not refused.
+MISREAD_BASE = {"K": 2, "generators": ["a", "b", "c", "d"],
+                "entries": [["a", "b"], ["c", "d"]]}
+MISREAD = [
+    pytest.param({"generators": "abcd"}, "generators must be a list",
+                 id="generators-string"),
+    pytest.param({"entries": ["ab", "cd"]}, "2x2 grid", id="entries-strings"),
+    pytest.param({"K": 2.9}, "K must be an integer", id="K-float"),
+    pytest.param({"valuation": [1, 2]}, "valuation must be an object",
+                 id="valuation-list"),
+    pytest.param({"entries": 5}, "2x2 grid", id="entries-number"),
+    pytest.param({"valuation": {"a": "x"}}, "valuation for 'a' is not a number",
+                 id="valuation-value"),
+]
 
 
 class TestLoadStore:
@@ -120,6 +195,12 @@ class TestLoadStore:
         doc = dict(self.DOC)
         doc.update(mutation)
         with pytest.raises(ChannelFormatError):
+            load_channel(doc)
+
+    @pytest.mark.parametrize("mutation, message", MISREAD)
+    def test_refuses_misread_documents(self, mutation, message):
+        doc = dict(MISREAD_BASE, **mutation)
+        with pytest.raises(ChannelFormatError, match=message):
             load_channel(doc)
 
     def test_rejects_non_object(self):

@@ -12,6 +12,7 @@ import icdof
 from icdof.channel import generic_channel, store_channel
 from icdof import condition, dofbound
 from icdof.cli import _dump_json, main, parse_ifs_spec
+from test_channel import MISREAD, MISREAD_BASE
 
 CANTOR_SPEC = '{"r": "1/3", "atoms": [0, 2]}'
 
@@ -108,6 +109,28 @@ class TestCheck:
                            "--degree", "1")
         assert code == 1
         assert json.loads(err)["error"].startswith("ChannelFormatError: ")
+
+
+    def test_stray_star_refused(self, capsys, tmp_path):
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({
+            "K": 2, "generators": ["h11", "h12", "h21", "h22"],
+            "entries": [["h11", "h12**2"], ["h21", "h22"]],
+        }))
+        code, out, err = run(capsys, "check", "--channel", str(path),
+                             "--degree", "1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("ChannelFormatError: ")
+
+    @pytest.mark.parametrize("mutation, message", MISREAD)
+    def test_misread_document_refused(self, capsys, tmp_path, mutation, message):
+        path = tmp_path / "misread.json"
+        path.write_text(json.dumps(dict(MISREAD_BASE, **mutation)))
+        code, out, err = run(capsys, "check", "--channel", str(path),
+                             "--degree", "0")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error.startswith("ChannelFormatError: ") and message in error
 
 
 class TestBuildAndBound:

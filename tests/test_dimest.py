@@ -89,6 +89,12 @@ class TestQuantizedEntropyMatchesUnique:
             for x in (samples, np.sort(samples)):
                 assert quantized_entropy(x, k, mm) == unique_entropy(x, k, mm)
 
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, np.nan],
+                                        [np.nan, 0.5, np.nan]])
+    def test_nan_refused(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            quantized_entropy(np.array(values), 4)
+
 
 class TestDepthAndGrid:
     def test_required_depth_rule(self):
