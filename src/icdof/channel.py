@@ -41,10 +41,16 @@ _FACTORS = re.compile(_FACTOR)
 
 
 def parse_element(expr: str, generators: Sequence[str]) -> AlgebraElement:
-    """Parse a polynomial expression over the given generator names."""
+    """Parse a polynomial expression over the given generator names.
+
+    The terms are accumulated in one map, as ``AlgebraElement.__add__`` adds
+    them one by one: a new monomial is appended, a repeated one updated in
+    place, and one whose coefficient reaches zero deleted.  So the term order
+    is that of the sequential sum, in time linear in the number of terms.
+    """
     index = {name: i for i, name in enumerate(generators)}
     ngens = len(generators)
-    result = AlgebraElement.zero(ngens)
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     pos = 0
     while pos == 0 or pos < len(expr):
         m = _TERM.match(expr, pos)
@@ -61,9 +67,14 @@ def parse_element(expr: str, generators: Sequence[str]) -> AlgebraElement:
                 raise ChannelFormatError(f"zero denominator in {expr!r}")
             else:
                 coeff *= Fraction(int(num), int(den or 1))
-        result = result + AlgebraElement(ngens, {tuple(exponents): coeff})
+        mono = tuple(exponents)
+        coeff += terms.get(mono, 0)
+        if coeff:
+            terms[mono] = coeff
+        else:
+            terms.pop(mono, None)
         pos = m.end()
-    return result
+    return AlgebraElement(ngens, terms)
 
 
 def format_element(element: AlgebraElement, generators: Sequence[str]) -> str:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -83,20 +83,36 @@ def entropy_from_counts(counts, total) -> float:
     """Shannon entropy in bits of a distribution given by integer counts.
 
     Counts are grouped by value so uniform-heavy distributions lose no
-    precision to long floating sums; iteration order is fixed.  An ndarray
-    is grouped by ``np.unique``, anything else by a ``Counter``; both give
-    the same (value, multiplicity) pairs in increasing order as Python ints,
-    so the float loop, and the result, are the same bit for bit.
+    precision to long floating sums.  ``np.unique`` gives the (value,
+    multiplicity) pairs in increasing order, of an ndarray as it is and of
+    any other input (a list, ``dict_values``) as an object array of its
+    Python ints; numpy would read a list mixing ints below and above 2^63
+    as float64.  The result is the same bit for bit as the per-pair loop
+    ``acc += group * value * math.log2(value)`` over those pairs:
+
+    - ``group * value`` is an exact integer, rounded once to float64 as
+      Python's int-times-float rounds it.  It is taken in int64 where no
+      product can overflow, and in Python ints (an object array) for every
+      other dtype or size, so counts of 2^63 and more stay exact;
+    - each log is ``math.log2`` of the Python int, never ``np.log2``, whose
+      vectorised log2 differs from libm's in the last bit on some integers;
+    - ``np.add.accumulate`` adds the terms in order from the left, as the
+      loop does, where ``np.sum`` would add them pairwise.
+
+    Counts that are not positive are skipped.
     """
-    if isinstance(counts, np.ndarray):
-        values, groups = np.unique(counts, return_counts=True)
-        pairs = zip(values.tolist(), groups.tolist())
-    else:
-        pairs = sorted(Counter(counts).items())
-    acc = 0.0
-    for value, group in pairs:
-        if value > 0:
-            acc += group * value * math.log2(value)
+    if not isinstance(counts, np.ndarray):
+        counts = np.array(list(counts), dtype=object)
+    values, groups = np.unique(counts, return_counts=True)
+    first = values.searchsorted(0, side="right")
+    values, groups = values[first:], groups[first:]
+    if values.dtype != np.int64 or (
+        len(values) and groups.max() > (2**63 - 1) // values[-1]
+    ):
+        values = values.astype(object)
+    logs = np.fromiter(map(math.log2, values.tolist()), np.float64, len(values))
+    terms = (groups * values).astype(np.float64) * logs
+    acc = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
     return math.log2(total) - acc / total
 
 
@@ -420,12 +436,15 @@ def _coordinate_layout(
 
 
 def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
-    """Sliding sums of ``width`` consecutive entries, full overlap-extended."""
-    c = np.concatenate([[0], np.cumsum(arr)])
-    t = np.arange(len(arr) + width - 1)
-    hi = np.minimum(t, len(arr) - 1)
-    lo = np.maximum(t - width + 1, 0)
-    return c[hi + 1] - c[lo]
+    """Sliding sums of ``width`` consecutive entries, full overlap-extended.
+
+    Entry t is c[min(t + 1, n)] - c[max(t + 1 - width, 0)] with c the
+    cumulative sum from 0; padding c with ``width`` zeros in front and
+    ``width - 1`` copies of its last entry behind makes both ends two slices.
+    """
+    c = np.cumsum(arr)
+    padded = np.concatenate([np.zeros(width, c.dtype), c, np.full(width - 1, c[-1])])
+    return padded[width:] - padded[:-width]
 
 
 def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
@@ -433,7 +452,11 @@ def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
 
     ``counts[k]`` is the number of tuples whose sum is k.  The dense width
     1 + (N-1) sum_t c_t is checked against the support cap, and the total
-    N^T against what int64 counts hold, before anything is allocated.
+    N^T against what int64 counts hold, before anything is allocated.  Adding
+    c U to a law is, on each residue class q mod c, a sliding window sum of
+    N entries, written back through the strided slice ``out[q::c]``.  Every
+    step is integer arithmetic on counts of at most 2^62, so the counts are
+    exact, and so is the entropy read from them.
     """
     width = 1 + (N - 1) * sum(coeffs)
     if width > DEFAULT_SUPPORT_CAP:
@@ -446,8 +469,7 @@ def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
     for s in coeffs:
         out = np.zeros(len(counts) + s * (N - 1), dtype=np.int64)
         for q in range(min(s, len(counts))):
-            w = _window_sum(counts[q::s], N)
-            out[q + s * np.arange(len(w))] = w
+            out[q::s] = _window_sum(counts[q::s], N)
         counts = out
     return counts
 
@@ -577,6 +599,15 @@ def containment_check(
 # -- the DoF lower bound ---------------------------------------------------
 
 
+def _left_sum(values) -> float:
+    """Floats added in order from the left, starting from 0.
+
+    The builtin ``sum`` does this up to Python 3.11; from 3.12 it adds floats
+    with compensation, which changes last bits, so totals fold explicitly.
+    """
+    return functools.reduce(operator.add, values, 0)
+
+
 @dataclass(frozen=True)
 class ReceiverTerms:
     receiver: int
@@ -655,7 +686,7 @@ def dof_lower_bound(
         _terms_for_receiver(matrix, i, construction)
         for i in range(1, matrix.K + 1)
     )
-    total = sum(t.contribution for t in receivers)
+    total = _left_sum(t.contribution for t in receivers)
     return DofReport(
         K=matrix.K,
         degree=d,
@@ -787,7 +818,7 @@ def rational_example(
                 term_interference=min(h_int / log_inv_r, 1.0),
             )
         )
-    total = sum(t.contribution for t in receivers)
+    total = _left_sum(t.contribution for t in receivers)
     report = DofReport(
         K=K,
         degree=None,

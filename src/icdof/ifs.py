@@ -21,8 +21,10 @@ The fast paths return exactly what the plain computation returns:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -92,8 +94,14 @@ class IFSSpec:
 
 
 def label_entropy_bits(spec: IFSSpec) -> float:
-    """Shannon entropy of the offset label distribution, in bits."""
-    return -sum(float(p) * math.log2(p) for p in spec.probs if p > 0)
+    """Shannon entropy of the offset label distribution, in bits.
+
+    The terms are added from the left, as the builtin ``sum`` adds floats up
+    to Python 3.11 (3.12 compensates), so the bits do not depend on the
+    interpreter.
+    """
+    terms = (float(p) * math.log2(p) for p in spec.probs if p > 0)
+    return -functools.reduce(operator.add, terms, 0)
 
 
 def hochman_dimension(spec: IFSSpec) -> float:

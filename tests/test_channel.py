@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,7 +106,31 @@ class TestGrammar:
     @given(expressions())
     def test_reads_the_terms_it_was_built_from(self, case):
         text, element = case
-        assert parse_element(text, NAMES) == element
+        parsed = parse_element(text, NAMES)
+        assert parsed == element
+        assert list(parsed.terms) == list(element.terms)
+
+    def test_long_expression_keeps_the_sequential_term_order(self):
+        # 2,000 terms over 40 monomials; about a third cancel a monomial's
+        # running coefficient, which the next term on it brings back at the end
+        rng = random.Random(7)
+        running = {}
+        text, element = [], AlgebraElement.zero(len(NAMES))
+        for _ in range(2000):
+            mono = (rng.randrange(4), rng.randrange(5), rng.randrange(2))
+            if running.get(mono) and rng.random() < 0.35:
+                coeff = -running[mono]
+            else:
+                coeff = Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+            running[mono] = running.get(mono, 0) + coeff
+            factors = [f"{abs(coeff.numerator)}/{coeff.denominator}"] + [
+                f"{name}^{e}" for name, e in zip(NAMES, mono)
+            ]
+            text.append(("-" if coeff < 0 else "+") + " " + "*".join(factors))
+            element = element + AlgebraElement(len(NAMES), {mono: coeff})
+        parsed = parse_element(" ".join(text), NAMES)
+        assert parsed == element
+        assert list(parsed.terms.items()) == list(element.terms.items())
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icdof.algebra import AlgebraElement, monomial_count
 from icdof.channel import (
@@ -33,6 +36,7 @@ from icdof.dofbound import (
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
 from icdof import dofbound, linalg
+from reference_entropy import entropy_by_pairs
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
 SHARED_GENERATOR_K2 = {
@@ -96,6 +100,86 @@ class TestEntropyFromCounts:
         expected = entropy_from_counts(counts, total)
         for dtype in (np.int64, object):
             assert entropy_from_counts(np.array(counts, dtype=dtype), total) == expected
+
+
+#: Integers whose float64 log2 differs in the last bit between numpy's
+#: vectorised ``np.log2`` and libm's ``math.log2`` on some x86-64 builds
+#: (AVX-512); an entropy read from them changes if ``np.log2`` is used.
+LOG2_DISAGREEMENTS = (1621, 3242, 6484, 7957, 12968, 15914, 25936, 28599,
+                      31828, 51872, 57198, 57803, 63656, 104703, 107177)
+
+#: Small counts with zeros and repeats, so the pairs have multiplicities.
+SMALL_COUNTS = st.lists(st.integers(0, 12) | st.integers(0, 2**40), max_size=60)
+
+
+@st.composite
+def count_inputs(draw):
+    """(counts in one of the accepted input forms, total)."""
+    counts = draw(SMALL_COUNTS | st.lists(st.integers(2**62, 2**64 - 1), max_size=6)
+                  | st.lists(st.integers(0, 2**64 - 1), max_size=12))
+    total = max(1, sum(counts))
+    kinds = ["list", "dict_values", "object"]
+    if all(c < 2**63 for c in counts):
+        kinds.append("int64")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int64":
+        return np.array(counts, dtype=np.int64), total
+    if kind == "object":
+        return np.array(counts, dtype=object), total
+    if kind == "dict_values":
+        return dict(enumerate(counts)).values(), total
+    return counts, total
+
+
+class TestEntropyMatchesPairLoop:
+    """``entropy_from_counts`` equals the per-pair Python loop bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_inputs())
+    @example((np.array(LOG2_DISAGREEMENTS, dtype=np.int64), sum(LOG2_DISAGREEMENTS)))
+    @example((list(LOG2_DISAGREEMENTS) * 3 + [0, 1, 2], 3 * sum(LOG2_DISAGREEMENTS) + 3))
+    @example((np.array([2**62, 2**62, 5], dtype=np.int64), 2**63 + 5))
+    @example((np.array([2**63, 2**64 - 1, 0], dtype=object), 2**63 + 2**64 - 1))
+    # 29 * v must be rounded to float once, not as 29.0 * float(v)
+    @example(([10025403929532902269] * 29, 29 * 10025403929532902269))
+    @example((np.array([10025403929532902269] * 29, dtype=object),
+              29 * 10025403929532902269))
+    # numpy reads a list mixing ints below and above 2^63 as float64
+    @example(([4999999999999997440, 5841590180319766016, 9999999999999998976,
+               9999999999999998977], 30841590180319761409))
+    @example(([0, 0], 1))
+    @example(([], 1))
+    def test_equal_to_pair_loop(self, case):
+        counts, total = case
+        assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
+
+    @pytest.mark.parametrize("value", LOG2_DISAGREEMENTS)
+    def test_log2_disagreement_values(self, value):
+        # pairs (1, 1) and (value, 2): the only nonzero log is log2(value)
+        counts = np.array([value, 1, value], dtype=np.int64)
+        total = 2 * value + 1
+        assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
+
+    def test_triangle_law_at_two_to_the_nineteen(self):
+        # 524,288 distinct counts: the benchmark's example-rational total
+        rep = rational_example(3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2**19)
+        assert rep.report.total == 1.320363655903864
+
+
+class TestScaledUniformKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 7))
+    def test_equals_tuple_enumeration(self, coeffs, N):
+        counts = dofbound._convolve_scaled_uniform(coeffs, N)
+        width = 1 + (N - 1) * sum(coeffs)
+        tally = Counter(
+            sum(c * u for c, u in zip(coeffs, combo))
+            for combo in itertools.product(range(N), repeat=len(coeffs))
+        )
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [tally[k] for k in range(width)]
+        # u -> N-1-u maps a sum k to width-1-k
+        assert counts.tolist() == counts[::-1].tolist()
 
 
 class TestBuildWN:
@@ -503,6 +587,44 @@ class TestDofLowerBound:
     def test_notes_present(self):
         report = dof_lower_bound(generic_channel(2), 0, 2)
         assert report.notes
+
+
+class TestTotalsFoldFromTheLeft:
+    """Totals add the receivers' contributions in order, on every Python.
+
+    The builtin ``sum`` compensates float sums from Python 3.12 on, so a
+    total taken with it would change last bits across interpreters.
+    """
+
+    @staticmethod
+    def _left_fold(report):
+        return functools.reduce(
+            operator.add, (t.contribution for t in report.receivers), 0
+        )
+
+    @pytest.mark.parametrize("d,N", [(1, 2), (1, 3), (2, 2)])
+    def test_dof_lower_bound(self, d, N):
+        report = dof_lower_bound(generic_channel(3), d, N)
+        assert report.total == self._left_fold(report)
+
+    def test_waived_bound_with_unequal_receivers(self):
+        m = integer_offdiag_channel([[0, -2, 1], [1, 0, -1], [2, 1, 0]])
+        report = dof_lower_bound(m, 0, 5, waive_condition=True)
+        assert len({t.contribution for t in report.receivers}) == 2
+        assert report.total == self._left_fold(report)
+
+    # On Python 3.12.1 the builtin sum of the first three cases' contributions
+    # differs from the left fold in the last bit.
+    @pytest.mark.parametrize(
+        "offdiag,N",
+        [([[0, -2, 1], [1, 0, -1], [2, 1, 0]], 37),
+         ([[0, 1, 5], [2, 0, 3], [4, 1, 0]], 37),
+         ([[0, 1, 5], [2, 0, 3], [4, 1, 0]], 100),
+         ([[0, 1, 2, 3], [3, 0, 1, 2], [2, 3, 0, 1], [1, 2, 3, 0]], 37)],
+    )
+    def test_rational_example(self, offdiag, N):
+        report = rational_example(len(offdiag), offdiag, N).report
+        assert report.total == self._left_fold(report)
 
 
 class TestSweep:

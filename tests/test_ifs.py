@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -81,6 +83,13 @@ class TestDimensionFormula:
         h = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
         assert label_entropy_bits(spec) == pytest.approx(h, abs=1e-12)
         assert hochman_dimension(spec) == pytest.approx(h / 2, abs=1e-12)
+
+    def test_label_entropy_folds_from_the_left(self):
+        # the builtin sum compensates float sums from Python 3.12 on
+        probs = tuple(Fraction(k, 55) for k in range(1, 11))
+        spec = IFSSpec(Fraction(1, 16), tuple(range(10)), probs=probs)
+        terms = [float(p) * math.log2(p) for p in probs]
+        assert label_entropy_bits(spec) == -functools.reduce(operator.add, terms, 0)
 
     def test_rescaling_atoms_invariant(self):
         a = IFSSpec(Fraction(1, 3), (0, 2))
