@@ -16,23 +16,28 @@ before enumerating the N^phi letter combinations, while convolving a
 sumset, and before allocating a dense scaled-uniform law.  So the size of a
 lazy W_N is not capped at all.
 
-Entropies are computed either by exact convolution of integer codes (each
-addend h_ij w is packed into one integer, mixed radix over its scaled
-monomial coordinates, injectively on every partial sum, so numpy adds the
-codes and merges equal ones), or (when the entries and basis values are
-single terms and W_N has a unique representation) by an exact coordinate
-decomposition: each monomial coordinate of the received sum is a sum of
-independent scaled uniforms drawn from disjoint letter coefficients, so the
-coordinates are independent and the entropy is the sum of small
-one-dimensional convolution entropies.  The two routes agree exactly and
-are cross-checked in the tests;
-the decomposition is what makes desk-scale sweeps feasible, since full-sum
-supports grow beyond any materializable size already at d=1, N=3.  Every
-sum of scaled uniforms, here and in the rational example class, goes
+A gated call (condition (*) passed at degree d+1) takes its bound from
+the multiplicity profile of (K, d) alone, by :func:`profile_bound`.  It is
+sound because h_ij f_alpha = f_{alpha + e_ij}: independence at degree d+1
+makes the integer coordinates of the interference a bijective image of its
+value, the coordinates use disjoint letter coefficients, and the phi(d)
+desired coordinates are separate.  A waived call runs the exact
+per-channel path below, the only path for a dependent channel and the
+oracle the tests hold the profile to.
+
+The exact path computes entropies either by exact convolution of integer
+codes (each addend h_ij w is packed into one integer, mixed radix over its
+scaled monomial coordinates, injectively on every partial sum, so numpy
+adds the codes and merges equal ones), or (when the entries and basis
+values are single terms and W_N has a unique representation) by an exact
+coordinate decomposition: each monomial coordinate of the received sum is
+a sum of independent scaled uniforms drawn from disjoint letter
+coefficients, so the coordinates are independent and the entropy is the
+sum of small one-dimensional convolution entropies.  The two routes agree
+exactly and are cross-checked in the tests.  Every sum of scaled uniforms,
+in the profile, the exact path and the rational example class, goes
 through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
-dense law wider than the support cap before allocating it; each call of
-the bound or the rational example runs it once per distinct coefficient
-signature.
+dense law wider than the support cap before allocating it.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
 for the bound and the sweep.  Containment is one rank test: the
@@ -653,16 +658,79 @@ def ratio_limit(K: int, d: int) -> float:
     return (K * (K - 1) + d + 1) / (d + 1)
 
 
-def _terms_for_receiver(matrix, receiver, construction) -> ReceiverTerms:
-    h_full, _ = sum_entropy_stats(matrix, receiver, True, construction)
-    h_int, _ = sum_entropy_stats(matrix, receiver, False, construction)
-    log_inv_r = construction.log_inv_r
-    if log_inv_r == 0.0:
-        term_full = term_int = 0.0
-    else:
-        term_full = min(h_full / log_inv_r, 1.0)
-        term_int = min(h_int / log_inv_r, 1.0)
-    return ReceiverTerms(receiver, h_full, h_int, term_full, term_int)
+def _dof_report(K, d, N, cardinality, log_inv_r, entropies, ratio_bound):
+    """The report of per-receiver (H_full, H_int) pairs: each receiver's
+    terms min(H / log2(1/r), 1) (0 when r = 1) and their left-folded total."""
+    receivers = []
+    for i, (h_full, h_int) in enumerate(entropies, 1):
+        if log_inv_r == 0.0:
+            term_full = term_int = 0.0
+        else:
+            term_full = min(h_full / log_inv_r, 1.0)
+            term_int = min(h_int / log_inv_r, 1.0)
+        receivers.append(ReceiverTerms(i, h_full, h_int, term_full, term_int))
+    return DofReport(
+        K=K,
+        degree=d,
+        coeff_range=N,
+        cardinality=cardinality,
+        log_inv_r=log_inv_r,
+        receivers=tuple(receivers),
+        total=_left_sum(t.contribution for t in receivers),
+        interference_ratio_bound=ratio_bound,
+    )
+
+
+def multiplicity_profile(K: int, d: int) -> Dict[int, int]:
+    """{t: n_t(d)}, t = 1..min(K-1, d+1): the interference coordinates t
+    interferers share.
+
+    The coordinates are the monomials alpha + e_ij, |alpha| <= d, j an
+    interferer.  Those divisible by the variables of s given interferers
+    number phi(d+1-s), 0 past s = d+1, so by inclusion-exclusion
+    n_t = sum_{s>=t} (-1)^(s-t) C(s, t) C(K-1, s) phi(d+1-s).  No
+    coordinate has more than d+1 variables, so t stops at d+1.
+    """
+    top = min(K - 1, d + 1)
+    phi = [monomial_count(K * (K - 1), d + 1 - s) for s in range(top + 1)]
+    return {
+        t: sum((-1) ** (s - t) * math.comb(s, t) * math.comb(K - 1, s) * phi[s]
+               for s in range(t, top + 1))
+        for t in range(1, top + 1)
+    }
+
+
+def profile_bound(K: int, d: int, N: int) -> DofReport:
+    """The DoF lower bound at (d, N) of every channel that passes the gate.
+
+    The caller runs the gate at degree d+1.  Receiver i's interference is
+    sum_{j != i, alpha} a_{j,alpha} h_ij f_alpha, the a i.i.d. uniform on
+    {1..N}, alpha over the degree-<=d monomials.  ``basis_values`` builds
+    each f as a product of entries, so h_ij f_alpha = f_{alpha + e_ij} and
+    the interference is sum_beta c_beta f_beta, c_beta summing the
+    a_{j, beta - e_ij} of the t_beta interferers reaching beta.  The
+    degree-(d+1) values are independent, so the value and the integer
+    vector c determine each other; alpha -> alpha + e_ij is injective, so
+    the coordinates use disjoint a's and are independent.  Hence H_int =
+    sum_t n_t H_t(N) (:func:`multiplicity_profile`), H_t the entropy of a
+    sum of t uniforms.  The phi(d) desired coordinates h_ii f_alpha are
+    separate, each uniform: H_full = phi(d) log2 N + H_int, and |W_N| =
+    N^phi(d).  Nothing here reads the channel, so the K receivers' terms
+    are equal.  H_t comes from the scaled-uniform kernel, whose caps
+    refuse loudly; n_t H_t is folded from the left in t order.
+    """
+    if N < 1:
+        raise ValueError(f"coefficient range N must be >= 1, got {N}")
+    phi = monomial_count(K * (K - 1), d)  # refuses d < 0
+    cardinality = N**phi
+    log_inv_r = 2.0 * math.log2(cardinality)  # InputConstruction.log_inv_r
+    h_int = _left_sum(
+        n * _scaled_uniform_law((1,) * t, N)[0]
+        for t, n in multiplicity_profile(K, d).items()
+    )
+    h_full = phi * math.log2(N) + h_int
+    return _dof_report(K, d, N, cardinality, log_inv_r, [(h_full, h_int)] * K,
+                       interference_ratio_bound(K, d, N))
 
 
 def dof_lower_bound(
@@ -675,28 +743,26 @@ def dof_lower_bound(
 
     Unless waived, rational independence is first checked at degree d+1 (the
     degree actually used by the separation argument); a dependent channel
-    raises :class:`ConditionNotSatisfiedError` carrying the certificate.
+    raises :class:`ConditionNotSatisfiedError` carrying the certificate.  A
+    channel that passes is evaluated by :func:`profile_bound`, which
+    depends only on (K, d, N).  A waived call computes the exact laws of
+    this channel's received sums instead; it is the only path for a
+    dependent channel, and the oracle the profile is tested against.
     """
     if not fully_connected(matrix):
         raise ValueError("DoF bound refused: channel is not fully connected")
     if not waive_condition:
         condition_mod.require_independent(matrix, d + 1)
+        return profile_bound(matrix.K, d, N)
     construction = build_w_n(matrix, d, N)
-    receivers = tuple(
-        _terms_for_receiver(matrix, i, construction)
+    entropies = [
+        (sum_entropy_stats(matrix, i, True, construction)[0],
+         sum_entropy_stats(matrix, i, False, construction)[0])
         for i in range(1, matrix.K + 1)
-    )
-    total = _left_sum(t.contribution for t in receivers)
-    return DofReport(
-        K=matrix.K,
-        degree=d,
-        coeff_range=N,
-        cardinality=construction.cardinality,
-        log_inv_r=construction.log_inv_r,
-        receivers=receivers,
-        total=total,
-        interference_ratio_bound=interference_ratio_bound(matrix.K, d, N),
-    )
+    ]
+    return _dof_report(matrix.K, d, N, construction.cardinality,
+                       construction.log_inv_r, entropies,
+                       interference_ratio_bound(matrix.K, d, N))
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -721,6 +787,9 @@ def sweep(
 ) -> List[SweepCell]:
     """Grid of dof_lower_bound cells; the condition is checked once per degree.
 
+    Once a degree's gate has passed, each of its cells is a
+    :func:`profile_bound`; a waived grid runs the exact path in every cell.
+
     At a fixed degree the total is not promised to increase in N: at d=0 it
     is N-invariant (0 for K >= 3), and the approach to K/2 comes from raising d.
     An empty ``degrees`` or ``ranges`` is refused before any gate runs.
@@ -735,7 +804,10 @@ def sweep(
             condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()
-            cell = dof_lower_bound(matrix, d, N, waive_condition=True)
+            if waive_condition:
+                cell = dof_lower_bound(matrix, d, N, waive_condition=True)
+            else:  # a zero h_ij would have failed the gate at degree 1
+                cell = profile_bound(matrix.K, d, N)
             cells.append(
                 SweepCell(
                     degree=d,
@@ -801,7 +873,7 @@ def rational_example(
     contraction = Fraction(1, base**2)
     log_inv_r = 2.0 * math.log2(base)
     h_diag = math.log2(N)
-    receivers = []
+    entropies = []
     law = functools.cache(lambda signature: _scaled_uniform_law(signature, N))
     lo = hi = 0
     for i in range(K):
@@ -809,26 +881,8 @@ def rational_example(
         h_int, _ = law(tuple(sorted(abs(c) for c in coeffs)))
         lo = min(lo, (N - 1) * sum(c for c in coeffs if c < 0))
         hi = max(hi, (N - 1) * sum(c for c in coeffs if c > 0))
-        receivers.append(
-            ReceiverTerms(
-                receiver=i + 1,
-                entropy_full_bits=h_diag + h_int,
-                entropy_interference_bits=h_int,
-                term_full=min((h_diag + h_int) / log_inv_r, 1.0),
-                term_interference=min(h_int / log_inv_r, 1.0),
-            )
-        )
-    total = _left_sum(t.contribution for t in receivers)
-    report = DofReport(
-        K=K,
-        degree=None,
-        coeff_range=N,
-        cardinality=N,
-        log_inv_r=log_inv_r,
-        receivers=tuple(receivers),
-        total=total,
-        interference_ratio_bound=None,
-    )
+        entropies.append((h_diag + h_int, h_int))
+    report = _dof_report(K, None, N, N, log_inv_r, entropies, None)
     closed_form = K * math.log2(N) / log_inv_r if N > 1 else 0.0
     return RationalExampleReport(
         report=report,

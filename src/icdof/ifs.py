@@ -39,6 +39,9 @@ DEFAULT_PAIR_CAP = 5 * 10**6
 #: The label sampler's guide table has at most 2**_GUIDE_BITS entries (8 MB).
 _GUIDE_BITS = 20
 
+#: ``sample`` draws each level in blocks of this many labels.
+_BLOCK = 1 << 16
+
 
 def _as_number(x):
     """Keep exact rationals exact; everything else becomes float."""
@@ -246,7 +249,11 @@ def sample(
     not depend on how many siblings are spawned after it.  Each chunk fills
     its slice of one output array; ``np.array_split`` makes the first
     ``count % chunks`` slices one longer.  Adding ``(scale*atoms)[idx]`` adds
-    the same products as ``scale*atoms[idx]``.
+    the same products as ``scale*atoms[idx]``.  Each level is drawn in
+    consecutive blocks of ``_BLOCK`` entries, so its temporaries (uniforms,
+    labels, gathered steps) are block-sized.  ``rng.random`` over
+    consecutive blocks consumes the stream as one call over the whole slice
+    does, so the bytes do not depend on the block size.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -265,7 +272,10 @@ def sample(
         rng = np.random.default_rng(child)
         scale = 1.0
         for _ in range(depth):
-            acc += (scale * atoms)[draw(rng, acc.size)]
+            step = scale * atoms
+            for start in range(0, acc.size, _BLOCK):
+                part = acc[start:start + _BLOCK]
+                part += step[draw(rng, part.size)]
             scale *= r
     return out
 
@@ -296,7 +306,11 @@ def fixed_point_discrepancy(
     count*(F1(x) - F2(x)) at the last point of the tie group of each sample
     value x, and the maximum is taken at those points (the walk's last
     value is 0).  Returning that integer over ``count`` gives the exact
-    statistic, correctly rounded.  It is the ``ks_2samp`` statistic of
+    statistic, correctly rounded.  The tie mask is taken from the merged
+    values, which are then dropped, and the walk is the cumulative sum of
+    int8 steps.  A partial sum of the 2*count steps is at most 2*count in
+    magnitude, so int32 holds the walk while 2*count < 2^31; int64 is used
+    past that.  It is the ``ks_2samp`` statistic of
     SciPy's stats module bit for bit whenever count <= 10,000, where its
     exact mode returns h/count; above that it subtracts two rounded cdf
     values, which can differ from h/count in the last bit.
@@ -313,8 +327,14 @@ def fixed_point_discrepancy(
     offsets = spec.atoms_float()[draw(np.random.default_rng(s_offset), count)]
     r2 = float(spec.r) if r_second is None else float(r_second)
     both = np.concatenate([np.sort(direct), np.sort(r2 * inner + offsets)])
+    del direct, inner, offsets
     order = np.argsort(both, kind="stable")
-    walk = np.cumsum(np.where(order < count, 1, -1))
     merged = both[order]
-    gap = np.abs(walk[:-1][merged[1:] != merged[:-1]]).max(initial=0)
+    del both
+    last = merged[1:] != merged[:-1]
+    del merged
+    steps = np.where(order < count, np.int8(1), np.int8(-1))
+    del order
+    walk = np.cumsum(steps, dtype=np.int32 if 2 * count < 2**31 else np.int64)
+    gap = np.abs(walk[:-1][last]).max(initial=0)
     return int(gap) / count

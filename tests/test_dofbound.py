@@ -9,9 +9,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from icdof.algebra import AlgebraElement, monomial_count
+from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
 from icdof.channel import (
     generic_channel,
     load_channel,
@@ -26,6 +26,8 @@ from icdof.dofbound import (
     entropy_from_counts,
     fig1_demo,
     interference_ratio_bound,
+    multiplicity_profile,
+    profile_bound,
     ratio_limit,
     rational_example,
     separability_check,
@@ -35,7 +37,7 @@ from icdof.dofbound import (
     to_ifs,
 )
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
-from icdof import dofbound, linalg
+from icdof import condition, dofbound, linalg
 from reference_entropy import entropy_by_pairs
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
@@ -640,6 +642,186 @@ class TestSweep:
     def test_condition_checked_once_per_degree(self):
         with pytest.raises(ConditionNotSatisfiedError):
             sweep(rational_channel([[2, 1], [1, 3]]), [0], [2])
+
+
+def _coeff():
+    return st.builds(lambda p, q: f"{p}/{q}",
+                     st.one_of(st.integers(-9, -1), st.integers(1, 9)),
+                     st.integers(1, 5))
+
+
+def _names(K):
+    return [f"h{i}{j}" for i in range(1, K + 1) for j in range(1, K + 1)]
+
+
+@st.composite
+def single_term_docs(draw, K):
+    """Each entry c * h_ij^e times up to two other generators' powers."""
+    names = _names(K)
+    entries = []
+    for own in names:
+        factors = [f"{own}^{draw(st.integers(1, 2))}"]
+        for other in draw(st.lists(st.sampled_from(names), max_size=2,
+                                   unique=True)):
+            if other != own:
+                factors.append(f"{other}^{draw(st.integers(1, 2))}")
+        entries.append(f"{draw(_coeff())}*" + "*".join(factors))
+    return {"K": K, "generators": names,
+            "entries": [entries[i:i + K] for i in range(0, K * K, K)]}
+
+
+def _polynomial(draw, own, names, min_extra, max_extra):
+    """c * own plus min_extra..max_extra terms of degree 1 or 2."""
+    terms = [f"{draw(_coeff())}*{own}"]
+    for _ in range(draw(st.integers(min_extra, max_extra))):
+        mono = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        terms.append("*".join([draw(_coeff())] + mono))
+    return " + ".join(terms)
+
+
+@st.composite
+def multi_term_docs(draw):
+    """Generic K=3 with each entry replaced, with probability 0.4, by a
+    polynomial of 1-3 terms."""
+    names = _names(3)
+    entries = [
+        _polynomial(draw, own, names, 0, 2) if draw(st.integers(0, 9)) < 4
+        else own
+        for own in names
+    ]
+    return {"K": 3, "generators": names,
+            "entries": [entries[i:i + 3] for i in range(0, 9, 3)]}
+
+
+@st.composite
+def one_multi_term_entry_docs(draw):
+    """Generic K=3 with one entry a polynomial of 2 terms."""
+    names = _names(3)
+    entries = list(names)
+    k = draw(st.integers(0, 8))
+    entries[k] = _polynomial(draw, names[k], names, 1, 1)
+    return {"K": 3, "generators": names,
+            "entries": [entries[i:i + 3] for i in range(0, 9, 3)]}
+
+
+def _passes_gate(doc, d):
+    matrix = load_channel(doc)
+    return matrix if condition.check_all(matrix, d + 1).independent else None
+
+
+class TestProfileBound:
+    """The gated bound from the multiplicity profile against the waived
+    exact laws of the same channel."""
+
+    @staticmethod
+    def _assert_matches_exact(matrix, d, N):
+        got = dof_lower_bound(matrix, d, N)
+        want = dof_lower_bound(matrix, d, N, waive_condition=True)
+        assert got.cardinality == want.cardinality
+        assert math.isclose(got.total, want.total, rel_tol=1e-12)
+        for g, w in zip(got.receivers, want.receivers, strict=True):
+            assert math.isclose(g.entropy_full_bits, w.entropy_full_bits,
+                                rel_tol=1e-12)
+            assert math.isclose(g.entropy_interference_bits,
+                                w.entropy_interference_bits, rel_tol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(single_term_docs(3), st.integers(0, 3), st.integers(1, 4))
+    def test_single_term_k3(self, doc, d, N):
+        matrix = _passes_gate(doc, d)
+        assume(matrix is not None)
+        self._assert_matches_exact(matrix, d, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(single_term_docs(4), st.integers(0, 1), st.integers(1, 4))
+    def test_single_term_k4(self, doc, d, N):
+        matrix = _passes_gate(doc, d)
+        assume(matrix is not None)
+        self._assert_matches_exact(matrix, d, N)
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_term_docs(), st.sampled_from([2, 3]))
+    def test_multi_term_k3_degree_zero(self, doc, N):
+        matrix = _passes_gate(doc, 0)
+        assume(matrix is not None)
+        self._assert_matches_exact(matrix, 0, N)
+
+    # The exact laws of a multi-term channel at (1, 2) are materialized
+    # convolutions over 128^3 letter tuples, 0.3-6 s for one two-term entry
+    # and about 10 s for three entries, so these draws change one entry.
+    @settings(max_examples=2, deadline=None)
+    @given(one_multi_term_entry_docs())
+    @example({"K": 3, "generators": _names(3),
+              "entries": [["h11", "h12 + h13", "h13"], ["h21", "h22", "h23"],
+                          ["h31", "h32", "h33"]]})
+    def test_multi_term_k3_degree_one(self, doc):
+        matrix = _passes_gate(doc, 1)
+        assume(matrix is not None)
+        self._assert_matches_exact(matrix, 1, 2)
+
+    def test_k3_closed_form(self):
+        # total = (3d/(d+6)) (2 log2 N - H_2(N)) / (2 log2 N), with H_2 the
+        # entropy of the triangle law of U + U' on {1..N}
+        degrees, ranges = [0, 1, 2, 4, 8], [2, 3, 16, 256]
+        cells = sweep(generic_channel(3), degrees, ranges)
+        assert [(c.degree, c.coeff_range) for c in cells] == [
+            (d, N) for d in degrees for N in ranges]
+        for c in cells:
+            d, N = c.degree, c.coeff_range
+            counts = [min(k, 2 * N - k) for k in range(1, 2 * N)]
+            h2 = 2 * math.log2(N) - math.fsum(
+                n * math.log2(n) for n in counts) / N**2
+            want = 3 * d / (d + 6) * (2 * math.log2(N) - h2) / (2 * math.log2(N))
+            assert math.isclose(c.total, want, rel_tol=1e-12)
+            assert c.cardinality == N ** monomial_count(6, d)
+
+    @pytest.mark.parametrize("K,d", [(2, 0), (2, 3), (3, 0), (3, 2), (4, 1),
+                                     (4, 2), (5, 1)])
+    def test_profile_counts_the_shared_coordinates(self, K, d):
+        # Receiver 1's interference coordinates are the degree-<=(d+1)
+        # monomials with some interferer variable; t counts those variables.
+        nvars = K * (K - 1)
+        interferers = range(K - 1)
+        shared = Counter(
+            sum(1 for v in interferers if beta[v])
+            for beta in enumerate_monomials(nvars, d + 1)
+        )
+        del shared[0]
+        assert multiplicity_profile(K, d) == dict(sorted(shared.items()))
+
+    def test_gated_call_reads_no_sum_law(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gated bound reached the exact path")
+
+        for name in ("build_w_n", "sum_entropy_stats", "sumset_distribution"):
+            monkeypatch.setattr(dofbound, name, refuse)
+        calls = TestScaledUniformLaws._count_kernel_calls(monkeypatch)
+        dof_lower_bound(generic_channel(3), 1, 3)
+        assert calls == [(1,), (1, 1)]
+        # n_3(1) = 0 for K=4: no coordinate has three interferer variables
+        sweep(generic_channel(4), [1], [2])
+        assert calls[2:] == [(1,), (1, 1)]
+
+    @pytest.mark.parametrize("K,d,N,t", [
+        (3, 0, 10**7 + 1, 1),  # H_1 is wider than the support cap
+        (5, 3, 2**16, 4),      # H_4 has 2^64 tuples, past what int64 counts hold
+    ])
+    def test_kernel_caps_still_refuse(self, K, d, N, t):
+        assert multiplicity_profile(K, d)[t] > 0
+        with pytest.raises(CapExceededError):
+            profile_bound(K, d, N)
+
+    def test_no_kernel_call_for_an_empty_multiplicity(self):
+        # At d=0 only H_1 is read, so a range whose H_4 would pass the
+        # int64 cap still gives the exact path's bound.
+        self._assert_matches_exact(generic_channel(5), 0, 2**16)
+
+    @pytest.mark.parametrize("d,N", [(1, 0), (-1, 2)])
+    def test_bad_arguments(self, d, N):
+        with pytest.raises(ValueError):
+            profile_bound(3, d, N)
+        with pytest.raises(ValueError):
+            dof_lower_bound(generic_channel(3), d, N)
 
 
 class TestRationalExample:

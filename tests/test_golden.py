@@ -135,6 +135,18 @@ CASES = {
         for d in (0, 1)
         for N in (2, 3, 4)
     },
+    **{
+        f"bound generic3 d=1 N={N} waived": (
+            lambda w, N=N: _report(
+                w, "bound", "generic3", "--degree", "1", "--range", str(N),
+                "--waive-condition")
+        )
+        for N in (2, 3, 4)
+    },
+    # The largest printable N=3 cell.  The waived exact path's total is
+    # 2e-13 (relative) off this one, so the case pins the path taken.
+    "bound generic3 d=8 N=3": lambda w: _report(
+        w, "bound", "generic3", "--degree", "8", "--range", "3"),
     "bound multi3 d=0 N=4": lambda w: _report(
         w, "bound", "multi3", "--degree", "0", "--range", "4",
         "--waive-condition"),

@@ -365,6 +365,27 @@ class TestSampleMatchesChoice:
         want = ks_2samp(direct, float(spec.r) * inner + offsets).statistic
         assert fixed_point_discrepancy(spec, depth, count, seed) == want
 
+    @pytest.mark.parametrize("count", [65535, 65536, 65537, 2 * 65536 + 1])
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_blocks_equal_choice_oracle(self, count, chunks):
+        # Counts on both sides of one and two sampling blocks.
+        assert ifs_module._BLOCK == 65536
+        spec = TIED_SPECS[2]
+        got = sample(spec, 3, count, 17, chunks=chunks)
+        want = choice_sample(spec, 3, count, 17, chunks=chunks)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(label_laws(), st.integers(1, 4), st.integers(1, 60),
+           st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 7))
+    def test_small_blocks_equal_choice_oracle(self, spec, depth, count, seed,
+                                              chunks, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ifs_module, "_BLOCK", block)
+            got = sample(spec, depth, count, seed, chunks=chunks)
+        want = choice_sample(spec, depth, count, seed, chunks=chunks)
+        assert got.tobytes() == want.tobytes()
+
     def test_surplus_chunks_cost_nothing(self):
         started = time.perf_counter()
         many = sample(CANTOR, 4, 10, seed=9, chunks=10**6)
