@@ -13,6 +13,7 @@ independence), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -151,29 +152,13 @@ def _condition_report_dict(report: condition.ConditionReport) -> dict:
 
 
 def _dof_report_dict(report: dofbound.DofReport) -> dict:
-    return {
-        "K": report.K,
-        "degree": report.degree,
-        "coeff_range": report.coeff_range,
-        "cardinality": report.cardinality,
-        "contraction": _fraction_str(Fraction(1, report.cardinality**2))
+    out = dataclasses.asdict(report)
+    out["contraction"] = (
+        _fraction_str(Fraction(1, report.cardinality**2))
         if report.degree is not None
-        else None,
-        "log_inv_r": report.log_inv_r,
-        "total": report.total,
-        "interference_ratio_bound": report.interference_ratio_bound,
-        "notes": list(report.notes),
-        "receivers": [
-            {
-                "receiver": t.receiver,
-                "entropy_full_bits": t.entropy_full_bits,
-                "entropy_interference_bits": t.entropy_interference_bits,
-                "term_full": t.term_full,
-                "term_interference": t.term_interference,
-            }
-            for t in report.receivers
-        ],
-    }
+        else None
+    )
+    return out
 
 
 def _parse_ifs_value(v):
@@ -348,12 +333,7 @@ def cmd_example_rational(args) -> int:
 
 def cmd_fig1(args) -> int:
     started = time.perf_counter()
-    result = dofbound.fig1_demo()
-    report = {
-        "set_size": result.set_size,
-        "common_structure_cardinality": result.common_structure_cardinality,
-        "different_structure_cardinality": result.different_structure_cardinality,
-    }
+    report = dataclasses.asdict(dofbound.fig1_demo())
     _write_report(_manifest("fig1", {}), report, started, args.out)
     return 0
 

@@ -40,11 +40,11 @@ through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
 dense law wider than the support cap before allocating it.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment is one rank test: the
-interference generators h_ij f_alpha are the degree-(d+1) basis values
-f_{alpha + e_ij} by construction, so the support lies in the degree-(d+1)
-lattice box as soon as that basis is independent.  It reads no support
-element and materializes no W_N.
+for the bound and the sweep.  Containment is one rank test of the
+degree-(d+1) basis values; once they are independent, the argument of
+:func:`profile_bound` places the support in the degree-(d+1) lattice box
+and gives its size from the multiplicity profile.  It reads no support
+element, builds no W_N and computes no sum law.
 """
 
 from __future__ import annotations
@@ -570,33 +570,30 @@ def containment_check(
     coefficients are admitted; the reported container cardinality is the
     representation-count bound ((K-1)N)^phi(d+1).)
 
-    ``contained`` is True whenever this answers, and the reason is an
-    identity, not a scan.  A support element is sum_{j != i} sum_alpha
-    a_{j,alpha} h_ij f_alpha with every a in {1..N}, alpha over the
-    degree-<=d monomials.  :func:`condition.basis_values` builds every f_m
-    as a product of the off-diagonal entries in exact, commutative
-    arithmetic, so h_ij f_alpha == f_{alpha + e_ij} holds by construction,
-    where e_ij is the off-diagonal variable of (i, j).  The element's
-    coefficient on f_m therefore sums at most one a per interferer
-    (alpha -> alpha + e_ij is injective for a fixed j), so it is an integer
-    in [0, (K-1)N].  The degree-(d+1) values are independent (by
-    ``linalg.eliminate_columns``' rank over their term maps; a dependent
-    basis raises ``ValueError``), so that is the element's only
-    representation, and the whole support is contained.  The support size
-    comes from :func:`sum_entropy_stats`, so a channel on the coordinate
-    path enumerates no W_N here.
+    The one check is the rank of the degree-(d+1) basis values (by
+    ``linalg.eliminate_columns`` over their term maps; a dependent basis
+    raises ``ValueError``).  Once they are independent, the argument in
+    :func:`profile_bound` shows each support element is sum_beta c_beta
+    f_beta, c_beta the sum of the a's of the t_beta interferers reaching
+    beta, so an integer in [0, (K-1)N], and that this is its only
+    representation: ``contained`` is True whenever this answers.  The same
+    argument gives the support size, prod_t (t(N-1) + 1)^n_t over
+    :func:`multiplicity_profile`, so no W_N and no sum law is built.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
-    construction = build_w_n(matrix, d, N)
-    _participants(matrix, receiver, False)  # refuses an out-of-range receiver
+    if N < 1:
+        raise ValueError(f"coefficient range N must be >= 1, got {N}")
+    profile = multiplicity_profile(matrix.K, d)  # refuses d < 0
+    if not 1 <= receiver <= matrix.K:
+        raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
     basis_next = condition_mod.basis_values(matrix, d + 1)
     if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
         raise ValueError(
             "basis values are rationally dependent; representation "
             "extraction is ambiguous for this channel"
         )
-    _, support = sum_entropy_stats(matrix, receiver, False, construction)
+    support = math.prod((t * (N - 1) + 1) ** n for t, n in profile.items())
     bound = (matrix.K - 1) * N
     return ContainmentResult(True, bound ** len(basis_next), support)
 
@@ -689,8 +686,11 @@ def multiplicity_profile(K: int, d: int) -> Dict[int, int]:
     interferer.  Those divisible by the variables of s given interferers
     number phi(d+1-s), 0 past s = d+1, so by inclusion-exclusion
     n_t = sum_{s>=t} (-1)^(s-t) C(s, t) C(K-1, s) phi(d+1-s).  No
-    coordinate has more than d+1 variables, so t stops at d+1.
+    coordinate has more than d+1 variables, so t stops at d+1.  A negative
+    d is refused: it has no monomials, not an empty profile.
     """
+    if d < 0:
+        raise ValueError(f"degree bound must be non-negative, got d={d}")
     top = min(K - 1, d + 1)
     phi = [monomial_count(K * (K - 1), d + 1 - s) for s in range(top + 1)]
     return {

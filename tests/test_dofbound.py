@@ -499,10 +499,31 @@ class TestContainment:
         def refuse(*args):
             raise AssertionError("materialized")
 
-        monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
-        monkeypatch.setattr(dofbound, "sumset_distribution", refuse)
+        for name in ("_enumerate_letters", "sumset_distribution", "build_w_n",
+                     "sum_entropy_stats", "_convolve_scaled_uniform"):
+            monkeypatch.setattr(dofbound, name, refuse)
         res = containment_check(generic_channel(3), 1, 1, 2)
         assert res == dofbound.ContainmentResult(True, 4**28, 12288)
+        # h12 = h12 + h13: the exact sumset here has 4^12 * 7 = 117,440,512
+        # points, past the support cap
+        doc = store_channel(generic_channel(3))
+        doc["entries"][0][1] = "h12 + h13"
+        res = containment_check(load_channel(doc), 1, 1, 4)
+        assert res == dofbound.ContainmentResult(True, 8**28, 4**12 * 7)
+
+    @pytest.mark.parametrize("receiver,d,N,match", [
+        (0, 1, 2, "receiver 0 out of range 1..3"),
+        (4, 1, 2, "receiver 4 out of range 1..3"),
+        (1, 1, 0, "coefficient range N must be >= 1"),
+        (1, -1, 2, "degree bound must be non-negative"),
+    ])
+    def test_bad_arguments_refused(self, receiver, d, N, match):
+        with pytest.raises(ValueError, match=match):
+            containment_check(generic_channel(3), receiver, d, N)
+
+    def test_profile_refuses_negative_degree(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            multiplicity_profile(3, -1)
 
 
 class TestRatios:
