@@ -5,31 +5,78 @@ For receiver i and degree cutoff d the checked family is
     [f_1(h), ..., f_phi(h),  h_ii f_1(h), ..., h_ii f_phi(h)]
 
 where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
-off-diagonal entries and phi = C(K(K-1) + d, d).  The family is expanded
-into exact polynomials in the channel generators; independence over the
-rationals is then a rank question over their sparse coefficient columns,
-decided by ``linalg.eliminate_columns``, which also owns the on-sight rule
-for distinct single terms and the elimination cap.  A product of
-multi-term entries is not expanded for a family past that cap.  A failed
-check returns an explicit integer certificate that substitutes back to the
-exact zero polynomial.
+off-diagonal entries and phi = C(K(K-1) + d, d).
 
-An "independent" verdict is certified only up to the tested degree.
+A receiver that :func:`jacobian_certifies` is independent at every degree,
+and its family is never built.  Any other is checked at the given degree:
+the family is expanded into exact polynomials in the channel generators,
+and independence over the rationals is a rank question over their sparse
+coefficient columns, decided by ``linalg.eliminate_columns``, which also
+owns the on-sight rule for distinct single terms and the elimination cap.
+A product of multi-term entries is not expanded for a family past that
+cap.  A failed check returns an explicit integer certificate that
+substitutes back to the exact zero polynomial; an "independent" verdict
+from it is certified only up to the tested degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from fractions import Fraction
+from math import prod
+from typing import Dict, List, Tuple
 
 from .algebra import (
     AlgebraElement,
+    capped_monomial_count,
     enumerate_monomials,
     monomial_count,
 )
 from .channel import ChannelMatrix, off_diagonal
-from .errors import ConditionNotSatisfiedError
+from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import linalg
+
+
+def _gradient(entry: AlgebraElement) -> Dict[int, Fraction]:
+    """{k: d entry / d x_k} at the point x_k = k + 2, from the term map.
+
+    The term c x^m contributes c m_k x^m / x_k to the k-th partial; x^m is
+    an integer at this point and x_k divides it whenever m_k > 0.
+    """
+    grad: Dict[int, Fraction] = {}
+    for mono, coeff in entry.terms.items():
+        support = [(k, e) for k, e in enumerate(mono) if e]
+        value = prod((k + 2) ** e for k, e in support)
+        for k, e in support:
+            partial = coeff * (e * value // (k + 2))
+            grad[k] = grad[k] + partial if k in grad else partial
+    return {k: v for k, v in grad.items() if v}
+
+
+def jacobian_certifies(matrix: ChannelMatrix, receiver: int | None = None) -> bool:
+    """True only if the off-diagonal entries, and h_ii when ``receiver`` is
+    i, are algebraically independent over Q: their Jacobian at the rational
+    point x_k = k + 2 has full rank (by ``linalg.eliminate_columns``; a
+    generic channel's columns are independent on sight).
+
+    A relation P(entries) = 0 of least degree makes, by the chain rule, the
+    gradients dependent over Q(x) with the coefficients dP/dy(entries), not
+    all zero in characteristic 0, so the rank at any point is below full.
+    Distinct monomials in independent elements are linearly independent, so
+    a full rank proves condition (*) at every degree (without h_ii: the
+    basis values).  False means only "not certified" (h_ii may be algebraic
+    but not rational over the entries), as does a Jacobian with fewer
+    nonzero rows than columns or past the elimination cap (K >= 64).
+    """
+    columns = [_gradient(entry) for entry in off_diagonal(matrix)]
+    if receiver is not None:
+        columns.append(_gradient(matrix.diagonal(receiver)))
+    if len(set().union(*columns)) < len(columns):
+        return False
+    try:
+        return linalg.eliminate_columns(columns)[0] == len(columns)
+    except CapExceededError:
+        return False
 
 
 def basis_values(matrix: ChannelMatrix, d: int):
@@ -128,11 +175,17 @@ def check_condition_star(
 ) -> ReceiverVerdict:
     """Decide independence of the receiver family up to degree ``d``.
 
-    ``basis`` is ``basis_values(matrix, d)`` when the caller already has it.
-    The values' term maps go to ``linalg.eliminate_columns``; its kernel of
-    the first dependent value is the certificate, and it equals the kernel
-    vector of the tests' dense Bareiss reference on the same family.
+    A receiver that :func:`jacobian_certifies` is independent at every
+    degree: its verdict is read off once phi(d) passes the monomial cap,
+    with no family built.  Any other (an out-of-range one included) gets
+    the per-degree check over ``basis``, which is ``basis_values(matrix,
+    d)`` when the caller already has it.  The values' term maps go to
+    ``linalg.eliminate_columns``; its kernel of the first dependent value is
+    the certificate, and it equals the kernel vector of the tests' dense
+    Bareiss reference on the same family.
     """
+    if 1 <= receiver <= matrix.K and jacobian_certifies(matrix, receiver):
+        return _certified_verdict(matrix, d, receiver)
     if basis is None:
         basis = basis_values(matrix, d)
     values = _receiver_family(matrix, receiver, basis)
@@ -146,15 +199,24 @@ def check_condition_star(
     return ReceiverVerdict(receiver, d, False, matrix_rank, 2 * phi, certificate)
 
 
+def _certified_verdict(matrix: ChannelMatrix, d: int, receiver: int):
+    size = 2 * capped_monomial_count(matrix.K * (matrix.K - 1), d)
+    return ReceiverVerdict(receiver, d, True, size, size)
+
+
 def check_all(matrix: ChannelMatrix, d: int) -> ConditionReport:
     """Aggregate :func:`check_condition_star` over all receivers.
 
-    The basis values are shared by every receiver, so they are built once.
+    The basis values are built once, and only when some receiver is left
+    uncertified; then their refusals are the per-degree check's.
     """
-    basis = basis_values(matrix, d)
+    receivers = range(1, matrix.K + 1)
+    certified = [jacobian_certifies(matrix, i) for i in receivers]
+    basis = None if all(certified) else basis_values(matrix, d)
     verdicts = tuple(
-        check_condition_star(matrix, d, i, basis=basis)
-        for i in range(1, matrix.K + 1)
+        _certified_verdict(matrix, d, i) if ok
+        else check_condition_star(matrix, d, i, basis=basis)
+        for i, ok in zip(receivers, certified)
     )
     return ConditionReport(d, verdicts)
 
@@ -163,7 +225,10 @@ def require_independent(matrix: ChannelMatrix, degree: int) -> None:
     """The condition gate: raise unless every receiver family is independent.
 
     Raises :class:`ConditionNotSatisfiedError` carrying the
-    :func:`check_all` report (and so the certificate) at ``degree``.
+    :func:`check_all` report (and so the certificate) at ``degree``.  A
+    channel whose every receiver :func:`jacobian_certifies` passes with no
+    family built, at any degree whose phi passes the monomial cap; any
+    other is checked at ``degree`` alone.
 
     ``build`` gates at d: the letters of W_N are integer combinations of the
     degree-<=d basis values, and their representation is unique (|W_N| =

@@ -40,8 +40,9 @@ through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
 dense law wider than the support cap before allocating it.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment is one rank test of the
-degree-(d+1) basis values; once they are independent, the argument of
+for the bound and the sweep.  Containment is one independence test of the
+degree-(d+1) basis values (the Jacobian certificate of the off-diagonal
+entries, else their rank); once they are independent, the argument of
 :func:`profile_bound` places the support in the degree-(d+1) lattice box
 and gives its size from the multiplicity profile.  It reads no support
 element, builds no W_N and computes no sum law.
@@ -60,6 +61,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    capped_monomial_count,
     monomial_count,
     monomial_key,
     monomial_mul,
@@ -570,15 +572,19 @@ def containment_check(
     coefficients are admitted; the reported container cardinality is the
     representation-count bound ((K-1)N)^phi(d+1).)
 
-    The one check is the rank of the degree-(d+1) basis values (by
+    The one check is the independence of the degree-(d+1) basis values:
+    :func:`condition.jacobian_certifies` on the off-diagonal entries alone,
+    and only when that fails the rank of the values themselves (by
     ``linalg.eliminate_columns`` over their term maps; a dependent basis
-    raises ``ValueError``).  Once they are independent, the argument in
-    :func:`profile_bound` shows each support element is sum_beta c_beta
-    f_beta, c_beta the sum of the a's of the t_beta interferers reaching
-    beta, so an integer in [0, (K-1)N], and that this is its only
-    representation: ``contained`` is True whenever this answers.  The same
-    argument gives the support size, prod_t (t(N-1) + 1)^n_t over
-    :func:`multiplicity_profile`, so no W_N and no sum law is built.
+    raises ``ValueError``).  A certified channel builds no value, so
+    phi(d+1) meets the monomial cap as a count.  Once the values are
+    independent, the argument in :func:`profile_bound` shows each support
+    element is sum_beta c_beta f_beta, c_beta the sum of the a's of the
+    t_beta interferers reaching beta, so an integer in [0, (K-1)N], and
+    that this is its only representation: ``contained`` is True whenever
+    this answers.  The same argument gives the support size,
+    prod_t (t(N-1) + 1)^n_t over :func:`multiplicity_profile`, so no W_N
+    and no sum law is built.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
@@ -587,15 +593,16 @@ def containment_check(
     profile = multiplicity_profile(matrix.K, d)  # refuses d < 0
     if not 1 <= receiver <= matrix.K:
         raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
-    basis_next = condition_mod.basis_values(matrix, d + 1)
-    if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
-        raise ValueError(
-            "basis values are rationally dependent; representation "
-            "extraction is ambiguous for this channel"
-        )
+    if not condition_mod.jacobian_certifies(matrix):
+        basis_next = condition_mod.basis_values(matrix, d + 1)
+        if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
+            raise ValueError(
+                "basis values are rationally dependent; representation "
+                "extraction is ambiguous for this channel"
+            )
+    phi_next = capped_monomial_count(matrix.K * (matrix.K - 1), d + 1)
     support = math.prod((t * (N - 1) + 1) ** n for t, n in profile.items())
-    bound = (matrix.K - 1) * N
-    return ContainmentResult(True, bound ** len(basis_next), support)
+    return ContainmentResult(True, ((matrix.K - 1) * N) ** phi_next, support)
 
 
 # -- the DoF lower bound ---------------------------------------------------

@@ -12,17 +12,21 @@ from icdof.channel import (
     off_diagonal,
     rational_channel,
     integer_offdiag_channel,
+    store_channel,
 )
 from icdof.condition import (
     DependenceCertificate,
     basis_values,
     check_all,
     check_condition_star,
+    jacobian_certifies,
     monomial_values,
 )
+from icdof.dofbound import containment_check, dof_lower_bound
 from icdof.errors import CapExceededError
-from icdof import linalg
+from icdof import algebra, condition, linalg
 import reference_linalg as dense
+from test_golden import _multi_term_doc, _product_doc
 
 
 def _refuse(what):
@@ -414,3 +418,125 @@ class TestRankOracle:
             verdict = check_condition_star(m, d, receiver)
             assert verdict.rank == fraction_rank(rows)
             assert verdict.independent == (verdict.rank == len(values))
+
+
+def _with_h(K, entry, expr):
+    """Generic K x K with one entry replaced by ``expr``."""
+    doc = store_channel(generic_channel(K))
+    i, j = entry
+    doc["entries"][i - 1][j - 1] = expr
+    return load_channel(doc)
+
+
+class TestJacobianCertificate:
+    """Which receivers the all-degree certificate answers, and that an
+    uncertified receiver gets the per-degree check's verdict, certificate
+    and refusals."""
+
+    def test_which_channels_are_certified(self):
+        assert jacobian_certifies(generic_channel(2), 1)
+        assert jacobian_certifies(generic_channel(4))
+        # constant entries and no generators: too few nonzero rows
+        assert not jacobian_certifies(rational_channel([[2, 1], [1, 3]]), 1)
+        offdiag = integer_offdiag_channel([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert not any(jacobian_certifies(offdiag, i) for i in (1, 2, 3))
+        # h32 = 2/3 h12 h13 is algebraic over h12, h13
+        m = load_channel(_product_doc())
+        assert not jacobian_certifies(m)
+        assert not any(jacobian_certifies(m, i) for i in (1, 2, 3))
+
+    def test_jacobian_past_the_elimination_cap_is_not_certified(
+            self, monkeypatch):
+        # The 7 Jacobian columns of a multi-term channel need a reduction;
+        # past the cap (K >= 64 at the real one) the per-degree check
+        # answers instead of the certificate refusing.
+        m = _with_h(3, (1, 2), "h12 + h13")
+        assert jacobian_certifies(m, 1)
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 6)
+        assert not jacobian_certifies(m, 1)
+        report = check_all(m, 0)
+        assert report.independent and [v.rank for v in report.verdicts] == [2] * 3
+
+    def test_generic_k3_builds_no_family(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a monomial family was built")
+
+        monkeypatch.setattr(condition, "basis_values", refuse)
+        monkeypatch.setattr(condition, "enumerate_monomials", refuse)
+        monkeypatch.setattr(algebra, "enumerate_monomials", refuse)
+        monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+        report = check_all(generic_channel(3), 16)
+        assert report.independent
+        for v in report.verdicts:
+            assert v.rank == v.family_size == 149226
+            assert v.certificate is None
+        assert check_condition_star(generic_channel(3), 16, 2) == report.verdicts[1]
+        # the gated bound at d=15 gates at d+1 = 16
+        bound = dof_lower_bound(generic_channel(3), 15, 2)
+        assert bound.cardinality == 2 ** monomial_count(6, 15)
+
+    def test_monomial_cap_still_refuses_degree_17(self):
+        message = r"^monomial enumeration: size 100947 exceeds cap 100000$"
+        m = generic_channel(3)
+        for check in (lambda: check_all(m, 17),
+                      lambda: check_condition_star(m, 17, 1),
+                      lambda: containment_check(m, 1, 16, 2)):
+            with pytest.raises(CapExceededError, match=message):
+                check()
+
+    def test_refusals_before_the_certificate_are_kept(self):
+        m = generic_channel(3)
+        with pytest.raises(ValueError, match="receiver 4 out of range 1..3"):
+            check_condition_star(m, 1, 4)
+        with pytest.raises(ValueError, match="degree bound must be non-negative"):
+            check_all(m, -1)
+
+    def test_rank_deficient_jacobian_falls_back(self, monkeypatch):
+        # h32 = -3 h22^2: receiver 2's Jacobian has rank 6 of 7, yet h22 is
+        # not rational over the off-diagonal entries and (*) holds.  The
+        # certificate is only sufficient: the per-degree check answers.
+        m = _with_h(3, (3, 2), "-3*h22^2")
+        assert [jacobian_certifies(m, i) for i in (1, 2, 3)] == [True, False, True]
+        assert jacobian_certifies(m)
+        built = []
+        original = condition.basis_values
+        monkeypatch.setattr(condition, "basis_values",
+                            lambda *args: built.append(args) or original(*args))
+        for d in range(4):
+            report = check_all(m, d)
+            assert report.independent
+            assert all(v.rank == 2 * monomial_count(6, d) for v in report.verdicts)
+        assert len(built) == 4
+
+    # product3 is uncertified and still independent at d=1; receivers 1-2
+    # of multi3 are certified, receiver 3 is dependent
+    @pytest.mark.parametrize("doc,degree,independent", [
+        (_product_doc, 1, True), (_product_doc, 3, False),
+        (_multi_term_doc, 3, False)])
+    def test_dependent_channels_keep_their_certificates(
+            self, monkeypatch, doc, degree, independent):
+        m = load_channel(doc())
+        report = check_all(m, degree)
+        per_receiver = [check_condition_star(m, degree, i) for i in (1, 2, 3)]
+        monkeypatch.setattr(condition, "jacobian_certifies", lambda *_: False)
+        assert report == check_all(m, degree)
+        assert per_receiver == list(report.verdicts)
+        assert report.independent == independent
+        for v in report.verdicts:
+            assert v.independent or v.certificate.is_valid(m)
+
+    def test_certified_multi_term_answers_past_the_elimination_cap(
+            self, monkeypatch):
+        # 2 phi(8) = 6,006 columns: the per-degree check refuses before any
+        # product is expanded, and the certificate needs none.
+        m = _with_h(3, (1, 2), "h12 + h13")
+        report = check_all(m, 8)
+        assert report.independent
+        assert all(v.rank == v.family_size == 6006 for v in report.verdicts)
+        contained = containment_check(m, 1, 7, 2)
+        assert contained.container_cardinality == 4 ** monomial_count(6, 8)
+        monkeypatch.setattr(condition, "jacobian_certifies", lambda *_: False)
+        for check in (lambda: check_all(m, 8),
+                      lambda: containment_check(m, 1, 7, 2)):
+            with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
+                check()

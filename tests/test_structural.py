@@ -5,22 +5,25 @@ generators (the shortcuts always apply), single terms on a shared pool of
 generators (monomials may collide), entries of up to three terms, and
 rational constants.  The oracles are the tuple enumeration of W_N and of
 the received sums, Bareiss elimination of the receiver family, called
-directly, the materialized convolution of the received sums, and the
+directly, the materialized convolution of the received sums, the
 per-element kernel read of the interference support that containment used
-to run.
+to run, and the per-degree check that the Jacobian certificate skips.
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import assume, example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, event, example, given, settings, strategies as st
 
+from icdof import condition
 from icdof.algebra import AlgebraElement
 from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
     basis_values,
     check_all,
     check_condition_star,
+    jacobian_certifies,
     monomial_values,
 )
 from icdof.dofbound import (
@@ -34,7 +37,11 @@ from icdof.dofbound import (
     sumset_distribution,
 )
 import reference_linalg as dense
-from test_dofbound import brute_force_sum_counts
+from test_dofbound import (
+    brute_force_sum_counts,
+    multi_term_docs,
+    single_term_docs,
+)
 
 KINDS = ("single", "shared", "multi")
 
@@ -288,3 +295,57 @@ class TestContainment:
         matrix, receiver, d, N = case
         assert outcome(containment_check, *case) == outcome(
             read_every_element, matrix, receiver, d, N)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(channel, top degree): K=3 channels of every kind, single- and
+    multi-term polynomial documents, and K=4 channels at d <= 1."""
+    K = draw(st.sampled_from([3, 3, 3, 4]))
+    source = draw(st.sampled_from(["kind", "kind", "docs"]))
+    if source == "kind":
+        matrix = draw(channels(draw(st.sampled_from(KINDS)), K))
+    elif K == 3:
+        matrix = load_channel(draw(st.one_of(multi_term_docs(),
+                                             single_term_docs(3))))
+    else:
+        matrix = load_channel(draw(single_term_docs(4)))
+    return matrix, 3 if K == 3 else 1
+
+
+def uncertified(check, *args):
+    """``check(*args)`` with the Jacobian certificate off, so that every
+    receiver gets the per-degree check."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(condition, "jacobian_certifies", lambda *_: False)
+        return check(*args)
+
+
+class TestJacobianCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(certificate_cases())
+    # two-term entries: receivers 1 and 2 certified, receiver 3 not (h33
+    # is a product of off-diagonal entries)
+    @example((load_channel({
+        "K": 3, "generators": [f"h{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)],
+        "entries": [["h11 + 2/3", "h12 - h13", "h13"],
+                    ["h21", "h22 + 5/7*h11", "h23 + h21*h31"],
+                    ["h31", "h32", "3/4*h12*h13"]]}), 3))
+    def test_sound_and_invisible(self, case):
+        # A certified receiver is independent at every degree the per-degree
+        # check reaches, and the verdicts (ranks, certificates) and the
+        # containment answers are the per-degree check's.
+        matrix, top = case
+        certified = [jacobian_certifies(matrix, i)
+                     for i in range(1, matrix.K + 1)]
+        event(f"certified receivers: {sum(certified)} of {matrix.K}")
+        for d in range(top + 1):
+            oracle = uncertified(check_all, matrix, d)
+            assert check_all(matrix, d) == oracle
+            for verdict, ok in zip(oracle.verdicts, certified, strict=True):
+                assert verdict.independent or not ok
+        if jacobian_certifies(matrix):
+            basis = basis_values(matrix, top)
+            assert dense.rank(dense.integer_columns(basis)) == len(basis)
+        args = (containment_check, matrix, 1, top - 1, 2)
+        assert outcome(*args) == uncertified(outcome, *args)
