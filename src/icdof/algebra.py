@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over named generators.
 
 A monomial is an exponent tuple (one non-negative int per generator); an
-:class:`AlgebraElement` maps monomials to nonzero ``Fraction`` coefficients.
-The representation is canonical (no zero coefficients stored), so equality
-and hashing agree with mathematical equality, which lets elements key exact
-convolution dictionaries downstream.
+:class:`AlgebraElement` maps monomials to nonzero rational coefficients,
+each an ``int`` when its value is integral and a ``Fraction`` otherwise.
+The representation is canonical in value (no zero coefficients stored, and
+Python's ``int`` and ``Fraction`` compare and hash equal on equal values),
+so equality and hashing agree with mathematical equality, which lets
+elements key exact convolution dictionaries downstream.
 
 All arithmetic is exact; floating point only enters through
 :meth:`AlgebraElement.evaluate`.
@@ -14,15 +16,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import CapExceededError
 
 Monomial = Tuple[int, ...]
+Rational = Union[int, Fraction]
 
 #: Cap on monomial counts, checked before anything is built from them.  It
-#: was sized by ``check_all`` on generic K=3 at d=16 (74,613 monomials),
-#: which built every product in 4.7-5.7 s and 144 MB RSS (2 vCPUs, Python
+#: was sized by ``check_all`` on generic K=3 at d=16 (74,613 monomials)
+#: with every family built, which takes 2.8 s and 131 MB RSS with integer
+#: coefficients (5.9 s and 145 MB with all-Fraction ones; 2 vCPUs, Python
 #: 3.11).  A channel certified by its Jacobian builds none, but the cap
 #: still bounds the N**phi and ((K-1)N)**phi(d+1) integers its bound and
 #: containment sizes are written as: for K=3 at d=200, N=2, N**phi is 12 GB.
@@ -40,7 +45,7 @@ def monomial_key(mono: Monomial) -> Tuple[int, Monomial]:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_count(m: int, d: int) -> int:
@@ -88,19 +93,33 @@ def enumerate_monomials(m: int, d: int) -> list[Monomial]:
     return out
 
 
+def _exact(value):
+    """A rational value as an ``int`` when it is integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class AlgebraElement:
     """Element of the polynomial algebra over a fixed number of generators.
 
-    Immutable and hashable; zero is the empty term map.
+    Immutable and hashable; zero is the empty term map.  A coefficient is
+    stored as an ``int`` when its value is integral and as a ``Fraction``
+    otherwise, so integer arithmetic never leaves Python ints.  Equality and
+    hashing are by value: ``2 == Fraction(2)`` and the two hash equal, so an
+    element compares and hashes the same whichever type its coefficients
+    were given in.  The hash is computed on first use.
     """
 
     __slots__ = ("ngens", "_terms", "_hash")
 
-    def __init__(self, ngens: int, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: Dict[Monomial, Fraction] = {}
+    def __init__(self, ngens: int, terms: Mapping[Monomial, Rational] | None = None):
+        clean: Dict[Monomial, Rational] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     if len(mono) != ngens:
                         raise ValueError(
@@ -110,7 +129,17 @@ class AlgebraElement:
                     clean[tuple(mono)] = coeff
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", hash((ngens, frozenset(clean.items()))))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, ngens: int, terms: Dict[Monomial, Rational]) -> "AlgebraElement":
+        """An element that owns ``terms``, which the caller has already made
+        canonical: no zero, every integral value an ``int``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -119,11 +148,11 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, ngens: int) -> "AlgebraElement":
-        return cls(ngens)
+        return cls._of(ngens, {})
 
     @classmethod
     def constant(cls, ngens: int, value) -> "AlgebraElement":
-        return cls(ngens, {(0,) * ngens: Fraction(value)})
+        return cls(ngens, {(0,) * ngens: value})
 
     @classmethod
     def generator(cls, ngens: int, index: int) -> "AlgebraElement":
@@ -131,13 +160,14 @@ class AlgebraElement:
             raise ValueError(f"generator index {index} out of range for {ngens}")
         exps = [0] * ngens
         exps[index] = 1
-        return cls(ngens, {tuple(exps): Fraction(1)})
+        return cls._of(ngens, {tuple(exps): 1})
 
     # -- queries -----------------------------------------------------------
 
     @property
-    def terms(self) -> Dict[Monomial, Fraction]:
-        """Copy of the term map (monomial -> coefficient)."""
+    def terms(self) -> Dict[Monomial, Rational]:
+        """Copy of the term map (monomial -> coefficient): an ``int`` where
+        the coefficient is integral, a ``Fraction`` elsewhere."""
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -146,13 +176,13 @@ class AlgebraElement:
     def is_constant(self) -> bool:
         return all(monomial_degree(m) == 0 for m in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         """The value of a constant element (zero allowed)."""
         if not self.is_constant():
             raise ValueError(f"{self!r} is not constant")
-        return next(iter(self._terms.values()), Fraction(0))
+        return next(iter(self._terms.values()), 0)
 
-    def single_term(self) -> Tuple[Monomial, Fraction] | None:
+    def single_term(self) -> Tuple[Monomial, Rational] | None:
         """The (monomial, coefficient) pair if this has exactly one term."""
         if len(self._terms) == 1:
             return next(iter(self._terms.items()))
@@ -180,15 +210,15 @@ class AlgebraElement:
             if s is None:
                 out[mono] = coeff
             else:
-                s = s + coeff
+                s = _exact(s + coeff)
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
-        return AlgebraElement(self.ngens, out)
+        return AlgebraElement._of(self.ngens, out)
 
     def __neg__(self):
-        return AlgebraElement(
+        return AlgebraElement._of(
             self.ngens, {m: -c for m, c in self._terms.items()}
         )
 
@@ -199,26 +229,30 @@ class AlgebraElement:
 
     def scale(self, factor) -> "AlgebraElement":
         """Multiply by a rational scalar."""
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if not factor:
             return AlgebraElement.zero(self.ngens)
-        return AlgebraElement(
-            self.ngens, {m: c * factor for m, c in self._terms.items()}
+        return AlgebraElement._of(
+            self.ngens, {m: _exact(c * factor) for m, c in self._terms.items()}
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, AlgebraElement):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._check_compatible(other)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Rational] = {}
+        get = out.get
+        others = other._terms.items()
         for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = monomial_mul(ma, mb)
-                s = out.get(mono)
+            for mb, cb in others:
+                mono = tuple(map(add, ma, mb))
+                s = get(mono)
                 out[mono] = ca * cb if s is None else s + ca * cb
-        return AlgebraElement(self.ngens, out)
+        return AlgebraElement._of(
+            self.ngens, {m: _exact(c) for m, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -257,6 +291,10 @@ class AlgebraElement:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.ngens, frozenset(self._terms.items())))
+            )
         return self._hash
 
     def __bool__(self):

@@ -22,12 +22,12 @@ from it is certified only up to the tested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Dict, List, Tuple
 
 from .algebra import (
     AlgebraElement,
+    Rational,
     capped_monomial_count,
     enumerate_monomials,
     monomial_count,
@@ -37,13 +37,13 @@ from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import linalg
 
 
-def _gradient(entry: AlgebraElement) -> Dict[int, Fraction]:
+def _gradient(entry: AlgebraElement) -> Dict[int, Rational]:
     """{k: d entry / d x_k} at the point x_k = k + 2, from the term map.
 
     The term c x^m contributes c m_k x^m / x_k to the k-th partial; x^m is
     an integer at this point and x_k divides it whenever m_k > 0.
     """
-    grad: Dict[int, Fraction] = {}
+    grad: Dict[int, Rational] = {}
     for mono, coeff in entry.terms.items():
         support = [(k, e) for k, e in enumerate(mono) if e]
         value = prod((k + 2) ** e for k, e in support)
@@ -53,7 +53,11 @@ def _gradient(entry: AlgebraElement) -> Dict[int, Fraction]:
     return {k: v for k, v in grad.items() if v}
 
 
-def jacobian_certifies(matrix: ChannelMatrix, receiver: int | None = None) -> bool:
+def jacobian_certifies(
+    matrix: ChannelMatrix,
+    receiver: int | None = None,
+    gradients: List[Dict[int, Rational]] | None = None,
+) -> bool:
     """True only if the off-diagonal entries, and h_ii when ``receiver`` is
     i, are algebraically independent over Q: their Jacobian at the rational
     point x_k = k + 2 has full rank (by ``linalg.eliminate_columns``; a
@@ -67,8 +71,12 @@ def jacobian_certifies(matrix: ChannelMatrix, receiver: int | None = None) -> bo
     basis values).  False means only "not certified" (h_ii may be algebraic
     but not rational over the entries), as does a Jacobian with fewer
     nonzero rows than columns or past the elimination cap (K >= 64).
+    ``gradients`` are the off-diagonal entries' columns when the caller
+    already has them; they are read, not changed.
     """
-    columns = [_gradient(entry) for entry in off_diagonal(matrix)]
+    if gradients is None:
+        gradients = [_gradient(entry) for entry in off_diagonal(matrix)]
+    columns = list(gradients)
     if receiver is not None:
         columns.append(_gradient(matrix.diagonal(receiver)))
     if len(set().union(*columns)) < len(columns):
@@ -188,6 +196,12 @@ def check_condition_star(
         return _certified_verdict(matrix, d, receiver)
     if basis is None:
         basis = basis_values(matrix, d)
+    return _eliminated_verdict(matrix, d, receiver, basis)
+
+
+def _eliminated_verdict(
+    matrix: ChannelMatrix, d: int, receiver: int, basis: List[AlgebraElement]
+) -> ReceiverVerdict:
     values = _receiver_family(matrix, receiver, basis)
     phi = len(values) // 2
     matrix_rank, kernel = linalg.eliminate_columns([v.terms for v in values])
@@ -207,15 +221,18 @@ def _certified_verdict(matrix: ChannelMatrix, d: int, receiver: int):
 def check_all(matrix: ChannelMatrix, d: int) -> ConditionReport:
     """Aggregate :func:`check_condition_star` over all receivers.
 
-    The basis values are built once, and only when some receiver is left
-    uncertified; then their refusals are the per-degree check's.
+    The off-diagonal gradients are taken once and each receiver's Jacobian
+    is decided once.  The basis values are built once, and only when some
+    receiver is left uncertified; then their refusals are the per-degree
+    check's.
     """
     receivers = range(1, matrix.K + 1)
-    certified = [jacobian_certifies(matrix, i) for i in receivers]
+    off = [_gradient(entry) for entry in off_diagonal(matrix)]
+    certified = [jacobian_certifies(matrix, i, off) for i in receivers]
     basis = None if all(certified) else basis_values(matrix, d)
     verdicts = tuple(
         _certified_verdict(matrix, d, i) if ok
-        else check_condition_star(matrix, d, i, basis=basis)
+        else _eliminated_verdict(matrix, d, i, basis)
         for i, ok in zip(receivers, certified)
     )
     return ConditionReport(d, verdicts)

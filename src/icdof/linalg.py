@@ -2,9 +2,11 @@
 
 :func:`eliminate_columns` decides every rational-independence question the
 package asks: condition (*), the size of W_N and the containment basis.
-It takes columns as sparse ``{row_key: Fraction}`` maps (an
-``AlgebraElement``'s ``terms``), so no dense matrix is built.  Columns that
-are single nonzero entries on distinct keys (the generic channel's distinct
+It takes columns as sparse ``{row_key: value}`` maps of ``int`` and
+``Fraction`` values (an ``AlgebraElement``'s ``terms``), so no dense
+matrix is built; integer entries stay Python ints, and a ``Fraction`` is
+made only where a division by a pivot is not exact.  Columns that are
+single nonzero entries on distinct keys (the generic channel's distinct
 monomials) are independent on sight, with no cap and no reduction.  Any
 other family wider than ``ELIMINATION_COLUMN_CAP`` is refused before any
 work, and otherwise costs what the fill-in of its reduced columns costs.
@@ -39,14 +41,20 @@ def check_columns(cols: int) -> None:
 def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None]:
     """``(rank, kernel)`` of sparse columns over Q, by exact elimination.
 
-    Each column maps ordered row keys to its nonzero entries.  The columns
-    are reduced one at a time against the basis of the earlier ones, kept
-    as ``{pivot key: (vector, combination)}`` with each vector scaled to 1
-    on its pivot, the largest key it has.  A column whose largest key is a
-    pivot subtracts that basis vector, which clears the key and brings in
-    only keys below it, so its largest key strictly decreases and the
-    reduction ends: at zero (the column is dependent on the earlier ones)
-    or on a key that is no pivot, which becomes the column's own pivot.
+    Each column maps ordered row keys to its nonzero entries, exact
+    rationals held as ``int`` or ``Fraction``.  The columns are reduced one
+    at a time against the basis of the earlier ones, kept as ``{pivot key:
+    (vector, combination)}`` with each vector scaled to 1 on its pivot, the
+    largest key it has.  A column whose largest key is a pivot subtracts
+    that basis vector, which clears the key and brings in only keys below
+    it, so its largest key strictly decreases and the reduction ends: at
+    zero (the column is dependent on the earlier ones) or on a key that is
+    no pivot, which becomes the column's own pivot.
+    The arithmetic is Q's whichever type holds a value: ints stay ints
+    under products and differences, a quotient by a pivot is a ``Fraction``
+    only where the division is not exact, and equal values compare equal
+    across the types.  So the pivots, the rank and every combination are,
+    value for value, those of an all-``Fraction`` reduction.
 
     ``kernel`` is ``None`` when the columns are independent.  Otherwise it
     is the combination that reduced the first dependent column, c, to zero,
@@ -67,10 +75,10 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
     basis: Dict = {}
     kernel = None
     for index, column in enumerate(columns):
-        vector = {key: Fraction(v) for key, v in column.items() if v}
+        vector = {key: v for key, v in column.items() if v}
         # Only the first dependence is reported, so once it is found the
         # combinations are no longer tracked.
-        combo = {index: Fraction(1)} if kernel is None else None
+        combo = {index: 1} if kernel is None else None
         while vector:
             pivot = max(vector)
             if pivot not in basis:
@@ -83,9 +91,8 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
         if vector:
             scale = vector[pivot]
             basis[pivot] = (
-                {key: v / scale for key, v in vector.items()},
-                None if combo is None
-                else {k: v / scale for k, v in combo.items()},
+                _divided(vector, scale),
+                None if combo is None else _divided(combo, scale),
             )
         elif kernel is None:
             kernel = _coprime([combo.get(k, 0) for k in range(len(columns))])
@@ -106,7 +113,18 @@ def _independent_on_sight(columns: Sequence[Mapping]) -> bool:
     return True
 
 
-def _subtract(target: Dict, factor: Fraction, source: Mapping) -> None:
+def _divided(vector: Dict, scale) -> Dict:
+    """``vector / scale``, each quotient an ``int`` where it is integral."""
+    if scale == 1:
+        return vector
+    out = {}
+    for key, v in vector.items():
+        q = Fraction(v, scale)
+        out[key] = q.numerator if q.denominator == 1 else q
+    return out
+
+
+def _subtract(target: Dict, factor, source: Mapping) -> None:
     """``target -= factor * source`` in place, dropping entries that cancel."""
     for key, value in source.items():
         value = target.get(key, 0) - factor * value
@@ -116,7 +134,7 @@ def _subtract(target: Dict, factor: Fraction, source: Mapping) -> None:
             target.pop(key, None)
 
 
-def _coprime(x: List[Fraction]) -> List[int]:
+def _coprime(x: List) -> List[int]:
     """A nonzero rational vector scaled to coprime integers, leading entry > 0."""
     scale = 1
     for value in x:

@@ -108,6 +108,84 @@ class TestRingAxioms:
             assert hash(a) == hash(b)
 
 
+def mixed_coefficients():
+    """Python ints, and Fractions both integral and not."""
+    return st.one_of(st.integers(-6, 6), fractions_strategy())
+
+
+def mixed_term_maps(ngens=2):
+    monos = st.tuples(*[st.integers(0, 2)] * ngens)
+    return st.dictionaries(monos, mixed_coefficients(), max_size=4)
+
+
+def reference(terms):
+    """A term map as the plain ``{monomial: Fraction}`` oracle, zeros dropped."""
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def reference_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_canonical(element, expected):
+    """``element`` holds ``expected`` by value, no zero, and each coefficient
+    is an int exactly when it is integral."""
+    terms = element.terms
+    assert terms == expected
+    assert all(c for c in terms.values())
+    assert all(
+        (type(c) is int) == (Fraction(c).denominator == 1) for c in terms.values()
+    )
+    assert element == AlgebraElement(element.ngens, expected)
+    assert hash(element) == hash(AlgebraElement(element.ngens, expected))
+
+
+class TestIntCoefficients:
+    """Integral coefficients are kept as ints; every result matches the
+    ``{monomial: Fraction}`` oracle by value."""
+
+    @given(mixed_term_maps(), mixed_term_maps(), mixed_coefficients(),
+           st.integers(0, 3))
+    def test_operations_match_fraction_reference(self, ta, tb, factor, exp):
+        a, b = AlgebraElement(2, ta), AlgebraElement(2, tb)
+        ra, rb = reference(ta), reference(tb)
+        assert_canonical(a, ra)
+        assert_canonical(a + b, reference_add(ra, rb))
+        assert_canonical(a * b, reference_mul(ra, rb))
+        assert_canonical(-a, {m: -c for m, c in ra.items()})
+        assert_canonical(a - b, reference_add(ra, {m: -c for m, c in rb.items()}))
+        scaled = {m: c * factor for m, c in ra.items() if factor}
+        assert_canonical(a.scale(factor), scaled)
+        assert_canonical(a * factor, scaled)
+        power = {(0, 0): Fraction(1)}
+        for _ in range(exp):
+            power = reference_mul(power, ra)
+        assert_canonical(a**exp, power)
+
+    def test_int_and_fraction_coefficients_are_equal(self):
+        as_int = AlgebraElement(1, {(1,): 2})
+        as_fraction = AlgebraElement(1, {(1,): Fraction(2)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert type(as_fraction.terms[(1,)]) is int
+        half = AlgebraElement(1, {(1,): Fraction(1, 2)})
+        assert type((half + half).terms[(1,)]) is int
+        assert (half + half) == as_int.scale(Fraction(1, 2))
+        assert len({as_int, as_fraction, half.scale(4)}) == 1
+
+
 class TestArithmeticExamples:
     def test_cancellation(self):
         x1 = AlgebraElement.generator(2, 0)

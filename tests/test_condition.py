@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
 from icdof.channel import (
@@ -141,6 +142,29 @@ class TestLinalg:
             assert rank == fraction_rank(m) <= cols
             assert kernel == dense.kernel_vector(integer_rows(m))
             assert all(sum(a * b for a, b in zip(row, kernel)) == 0 for row in m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_eliminate_columns_matches_bareiss(self, data):
+        # Integer, rational and mixed entries: the int-preserving reduction
+        # gives the dense Bareiss rank and first-dependence kernel.
+        kind = data.draw(st.sampled_from(["int", "rational", "mixed"]))
+        ints = st.integers(-4, 4)
+        fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        entry = {"int": ints, "rational": fractions,
+                 "mixed": st.one_of(ints, fractions)}[kind]
+        rows = data.draw(st.integers(1, 5))
+        cols = data.draw(st.integers(1, 6))
+        m = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        # a few columns that are combinations of earlier ones
+        for _ in range(data.draw(st.integers(0, 2))):
+            weights = [data.draw(entry) for _ in range(cols)]
+            for row in m:
+                row.append(sum(w * v for w, v in zip(weights, row)))
+            cols += 1
+        rank, kernel = linalg.eliminate_columns(sparse_columns(m, cols))
+        assert rank == dense.rank(integer_rows(m))
+        assert kernel == dense.kernel_vector(integer_rows(m))
 
     def test_kernel_none_for_full_column_rank(self):
         assert dense.kernel_vector([[2, 0], [0, 5], [1, 1]]) is None
@@ -524,6 +548,25 @@ class TestJacobianCertificate:
         assert report.independent == independent
         for v in report.verdicts:
             assert v.independent or v.certificate.is_valid(m)
+
+    # multi3: receivers 1-2 certified, 3 not; product3: none certified
+    @pytest.mark.parametrize("doc", [_multi_term_doc, _product_doc])
+    def test_gradients_taken_once_per_check_all(self, monkeypatch, doc):
+        # K(K-1) off-diagonal gradients and one per diagonal entry: 9, and
+        # no receiver's Jacobian is decided a second time.
+        m = load_channel(doc())
+        assert not all(jacobian_certifies(m, i) for i in (1, 2, 3))
+        expected = check_all(m, 2)
+        gradient = condition._gradient
+        calls = []
+
+        def counted(entry):
+            calls.append(entry)
+            return gradient(entry)
+
+        monkeypatch.setattr(condition, "_gradient", counted)
+        assert check_all(m, 2) == expected
+        assert len(calls) == 3 * 2 + 3
 
     def test_certified_multi_term_answers_past_the_elimination_cap(
             self, monkeypatch):
