@@ -28,9 +28,11 @@ Rational = Union[int, Fraction]
 #: was sized by ``check_all`` on generic K=3 at d=16 (74,613 monomials)
 #: with every family built, which takes 2.8 s and 131 MB RSS with integer
 #: coefficients (5.9 s and 145 MB with all-Fraction ones; 2 vCPUs, Python
-#: 3.11).  A channel certified by its Jacobian builds none, but the cap
-#: still bounds the N**phi and ((K-1)N)**phi(d+1) integers its bound and
-#: containment sizes are written as: for K=3 at d=200, N=2, N**phi is 12 GB.
+#: 3.11).  It guards only what is built from the monomials: a channel
+#: certified by its Jacobian builds none, and its verdicts and bounds count
+#: phi uncapped, with |W_N| kept as the pair (N, phi), never as N**phi.
+#: ``containment_check`` alone still writes ((K-1)N)**phi(d+1) out, so it
+#: keeps the cap.
 DEFAULT_MONOMIAL_CAP = 10**5
 
 

@@ -7,7 +7,7 @@ minus the wall clock as a single ``# manifest:`` comment line, so reruns
 with identical manifests are byte-identical.
 
 Exit codes: 0 success, 1 domain errors (caps, invalid channels, failed
-independence), 2 usage errors.
+independence, sizes past the float range), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -26,17 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, condition, dimest, dofbound, ifs
-from .algebra import monomial_count
 from .channel import load_channel_file
 from .errors import CapExceededError, ChannelFormatError, ConditionNotSatisfiedError
 from .ifs import IFSSpec
 
 
 # -- serialization helpers -------------------------------------------------
-
-
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 #: +1 for an opening and -1 for a closing bracket or brace, by byte value.
@@ -151,13 +145,18 @@ def _condition_report_dict(report: condition.ConditionReport) -> dict:
     }
 
 
+def _size_fields(size: dofbound.Power) -> dict:
+    """|W| = b^e as ``"b^e"`` and r = |W|^-2 as ``"1/b^(2e)"``, never
+    multiplied out, so a report of any size is written exactly."""
+    return {"cardinality": f"{size.base}^{size.exponent}",
+            "contraction": f"1/{size.base}^({2 * size.exponent})"}
+
+
 def _dof_report_dict(report: dofbound.DofReport) -> dict:
     out = dataclasses.asdict(report)
-    out["contraction"] = (
-        _fraction_str(Fraction(1, report.cardinality**2))
-        if report.degree is not None
-        else None
-    )
+    out.update(_size_fields(report.cardinality))
+    if report.degree is None:
+        out["contraction"] = None
     return out
 
 
@@ -196,16 +195,6 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _require_printable(matrix, d: int, N: int, power: int) -> None:
-    """Refuse, before any work, a report whose |W_N|**power <= N^(power*phi)
-    has more decimal digits than Python converts to a string."""
-    limit = sys.get_int_max_str_digits()
-    phi = monomial_count(matrix.K * (matrix.K - 1), d)
-    digits = math.floor(power * phi * math.log10(max(N, 1))) + 1
-    if limit and digits > limit:
-        raise CapExceededError(f"decimal digits of |W_N|^{power}", digits, limit)
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -229,7 +218,6 @@ def cmd_check(args) -> int:
 def cmd_build(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
-    _require_printable(matrix, args.degree, args.range, 2)
     if not args.waive_condition:
         condition.require_independent(matrix, args.degree)
     construction = dofbound.build_w_n(matrix, args.degree, args.range)
@@ -237,8 +225,7 @@ def cmd_build(args) -> int:
         "degree": construction.degree,
         "coeff_range": construction.coeff_range,
         "phi": len(construction.basis),
-        "cardinality": construction.cardinality,
-        "contraction": _fraction_str(construction.contraction),
+        **_size_fields(construction.size),
         "log_inv_r": construction.log_inv_r,
         "unique_representation": construction.unique_representation,
     }
@@ -258,7 +245,6 @@ def cmd_build(args) -> int:
 def cmd_bound(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
-    _require_printable(matrix, args.degree, args.range, 2)
     report = dofbound.dof_lower_bound(
         matrix, args.degree, args.range, waive_condition=args.waive_condition
     )
@@ -279,9 +265,6 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
     degrees, ranges = _int_list(args.degrees), _int_list(args.ranges)
-    for d in degrees:
-        for N in ranges:
-            _require_printable(matrix, d, N, 1)
     cells = dofbound.sweep(
         matrix, degrees, ranges, waive_condition=args.waive_condition
     )
@@ -297,8 +280,8 @@ def cmd_sweep(args) -> int:
     header = ["degree", "coeff_range", "cardinality", "log_inv_r", "total",
               "interference_ratio_bound"]
     rows = [
-        [c.degree, c.coeff_range, c.cardinality, c.log_inv_r, c.total,
-         c.interference_ratio_bound]
+        [c.degree, c.coeff_range, _size_fields(c.cardinality)["cardinality"],
+         c.log_inv_r, c.total, c.interference_ratio_bound]
         for c in cells
     ]
     _emit(_csv_payload(manifest, header, rows), args.out)
@@ -318,7 +301,8 @@ def cmd_example_rational(args) -> int:
     result = dofbound.rational_example(args.k, offdiag, args.range)
     report = {
         "h_max": result.h_max,
-        "contraction": _fraction_str(result.contraction),
+        "contraction": f"{result.contraction.numerator}/"
+                       f"{result.contraction.denominator}",
         "closed_form_bound": result.closed_form_bound,
         "interference_support": [result.interference_min, result.interference_max],
         "dof": _dof_report_dict(result.report),
@@ -539,8 +523,8 @@ def main(argv=None) -> int:
             payload["condition_report"] = _condition_report_dict(exc.report)
         sys.stderr.write(_dump_json(payload))
         return 1
-    except (CapExceededError, ChannelFormatError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CapExceededError, ChannelFormatError, ValueError, OverflowError,
+            OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump_json({"error": f"{type(exc).__name__}: {exc}"}))
         return 1
 

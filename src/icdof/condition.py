@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Tuple
 
-from .algebra import (
-    AlgebraElement,
-    Rational,
-    capped_monomial_count,
-    enumerate_monomials,
-    monomial_count,
-)
+from .algebra import AlgebraElement, Rational, enumerate_monomials, monomial_count
 from .channel import ChannelMatrix, off_diagonal
 from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import linalg
@@ -116,14 +110,18 @@ def monomial_values(
     matrix: ChannelMatrix, d: int, receiver: int
 ) -> List[AlgebraElement]:
     """The length-2*phi(d) family for one receiver (1-based index)."""
+    _require_receiver(matrix, receiver)
     return _receiver_family(matrix, receiver, basis_values(matrix, d))
+
+
+def _require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
+    if not 1 <= receiver <= matrix.K:
+        raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
 
 
 def _receiver_family(
     matrix: ChannelMatrix, receiver: int, basis: List[AlgebraElement]
 ) -> List[AlgebraElement]:
-    if not 1 <= receiver <= matrix.K:
-        raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
     h_ii = matrix.diagonal(receiver)
     return list(basis) + [h_ii * v for v in basis]
 
@@ -175,28 +173,22 @@ class ConditionReport:
 
 
 def check_condition_star(
-    matrix: ChannelMatrix,
-    d: int,
-    receiver: int,
-    *,
-    basis: List[AlgebraElement] | None = None,
+    matrix: ChannelMatrix, d: int, receiver: int
 ) -> ReceiverVerdict:
     """Decide independence of the receiver family up to degree ``d``.
 
-    A receiver that :func:`jacobian_certifies` is independent at every
-    degree: its verdict is read off once phi(d) passes the monomial cap,
-    with no family built.  Any other (an out-of-range one included) gets
-    the per-degree check over ``basis``, which is ``basis_values(matrix,
-    d)`` when the caller already has it.  The values' term maps go to
-    ``linalg.eliminate_columns``; its kernel of the first dependent value is
-    the certificate, and it equals the kernel vector of the tests' dense
-    Bareiss reference on the same family.
+    An out-of-range receiver is refused before any work.  A receiver that
+    :func:`jacobian_certifies` is independent at every degree: its verdict
+    counts phi(d), at any degree, with no family built.  Any other gets the
+    per-degree check over ``basis_values(matrix, d)``.  The values' term
+    maps go to ``linalg.eliminate_columns``; its kernel of the first
+    dependent value is the certificate, and it equals the kernel vector of
+    the tests' dense Bareiss reference on the same family.
     """
-    if 1 <= receiver <= matrix.K and jacobian_certifies(matrix, receiver):
+    _require_receiver(matrix, receiver)
+    if jacobian_certifies(matrix, receiver):
         return _certified_verdict(matrix, d, receiver)
-    if basis is None:
-        basis = basis_values(matrix, d)
-    return _eliminated_verdict(matrix, d, receiver, basis)
+    return _eliminated_verdict(matrix, d, receiver, basis_values(matrix, d))
 
 
 def _eliminated_verdict(
@@ -214,7 +206,7 @@ def _eliminated_verdict(
 
 
 def _certified_verdict(matrix: ChannelMatrix, d: int, receiver: int):
-    size = 2 * capped_monomial_count(matrix.K * (matrix.K - 1), d)
+    size = 2 * monomial_count(matrix.K * (matrix.K - 1), d)
     return ReceiverVerdict(receiver, d, True, size, size)
 
 
@@ -244,8 +236,7 @@ def require_independent(matrix: ChannelMatrix, degree: int) -> None:
     Raises :class:`ConditionNotSatisfiedError` carrying the
     :func:`check_all` report (and so the certificate) at ``degree``.  A
     channel whose every receiver :func:`jacobian_certifies` passes with no
-    family built, at any degree whose phi passes the monomial cap; any
-    other is checked at ``degree`` alone.
+    family built, at any degree; any other is checked at ``degree`` alone.
 
     ``build`` gates at d: the letters of W_N are integer combinations of the
     degree-<=d basis values, and their representation is unique (|W_N| =

@@ -55,7 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -126,25 +126,39 @@ def entropy_from_counts(counts, total) -> float:
 # -- alphabet construction -------------------------------------------------
 
 
+class Power(NamedTuple):
+    """An alphabet size base^exponent, kept factored: |W_N| is (N, phi) when
+    its representation is unique, and (|W_N|, 1) when it was enumerated."""
+
+    base: int
+    exponent: int
+
+    @property
+    def log_inv_r(self) -> float:
+        """log2(1/r) = 2 exponent log2(base) bits at r = (base^exponent)^-2."""
+        return 2.0 * self.exponent * math.log2(self.base)
+
+
 class Letters:
     """The letters of W_N: sized at once, enumerated on first iteration.
 
-    ``len`` is the cardinality and costs nothing.  The first iteration runs
-    the enumeration once and caches it, so every iteration sees the letters
-    in the same order as an eager enumeration of the same basis.
+    ``len`` is the cardinality, multiplied out only when asked for.  The
+    first iteration runs the enumeration once and caches it, so every
+    iteration sees the letters in the same order as an eager enumeration of
+    the same basis.
     """
 
     __slots__ = ("_size", "_enumerate", "_items")
 
     def __init__(
-        self, size: int, enumerate_letters: Callable[[], Tuple[AlgebraElement, ...]]
+        self, size: Power, enumerate_letters: Callable[[], Tuple[AlgebraElement, ...]]
     ):
         self._size = size
         self._enumerate = enumerate_letters
         self._items: Tuple[AlgebraElement, ...] | None = None
 
     def __len__(self) -> int:
-        return self._size
+        return self._size.base ** self._size.exponent
 
     def __iter__(self) -> Iterator[AlgebraElement]:
         if self._items is None:
@@ -160,14 +174,26 @@ class InputConstruction:
     coeff_range: int
     basis: Tuple[AlgebraElement, ...]
     elements: Letters
-    cardinality: int
-    contraction: Fraction
-    unique_representation: bool
+    size: Power
+
+    @property
+    def cardinality(self) -> int:
+        """|W_N| multiplied out, for what enumerates letters or counts tuples."""
+        return self.size.base ** self.size.exponent
+
+    @property
+    def contraction(self) -> Fraction:
+        """r_N = |W_N|^(-2)."""
+        return Fraction(1, self.cardinality**2)
+
+    @property
+    def unique_representation(self) -> bool:
+        """Distinct coefficient vectors give distinct letters."""
+        return self.size == (self.coeff_range, len(self.basis))
 
     @property
     def log_inv_r(self) -> float:
-        """log2(1/r_N) = 2 log2 |W_N| in bits."""
-        return 2.0 * math.log2(self.cardinality)
+        return self.size.log_inv_r
 
 
 def _enumerate_letters(
@@ -198,32 +224,22 @@ def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     with nothing enumerated.  N = 1 needs no rank: W_N is one letter.  The
     letters are enumerated on first iteration, and only then is N^phi
     checked against the support cap.  A dependent basis is enumerated here,
-    so its N^phi is capped at once, and deduplicated exactly.
+    so its N^phi is capped at once, and deduplicated exactly; its size is
+    (|W_N|, 1) when letters collide.
     """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
     basis = tuple(condition_mod.basis_values(matrix, d))
-    nominal = N ** len(basis)
+    size = Power(N, len(basis))
     enumerate_ = functools.partial(
         _enumerate_letters, basis, N, len(matrix.generators)
     )
-    if N == 1 or linalg.eliminate_columns([f.terms for f in basis])[1] is None:
-        # Not len(elements): len() cannot exceed sys.maxsize.
-        cardinality = nominal
-        elements = Letters(nominal, enumerate_)
-    else:
+    if N > 1 and linalg.eliminate_columns([f.terms for f in basis])[1] is not None:
         items = enumerate_()
-        cardinality = len(items)
-        elements = Letters(cardinality, lambda: items)
-    return InputConstruction(
-        degree=d,
-        coeff_range=N,
-        basis=basis,
-        elements=elements,
-        cardinality=cardinality,
-        contraction=Fraction(1, cardinality**2),
-        unique_representation=cardinality == nominal,
-    )
+        if len(items) < N ** len(basis):
+            size = Power(len(items), 1)
+        enumerate_ = functools.partial(tuple, items)
+    return InputConstruction(d, N, basis, Letters(size, enumerate_), size)
 
 
 def to_ifs(construction: InputConstruction, valuation: Sequence[float]) -> IFSSpec:
@@ -576,8 +592,10 @@ def containment_check(
     :func:`condition.jacobian_certifies` on the off-diagonal entries alone,
     and only when that fails the rank of the values themselves (by
     ``linalg.eliminate_columns`` over their term maps; a dependent basis
-    raises ``ValueError``).  A certified channel builds no value, so
-    phi(d+1) meets the monomial cap as a count.  Once the values are
+    raises ``ValueError``).  A certified channel builds no value, yet
+    phi(d+1) still meets the monomial cap: both sizes are returned as ints
+    (the benchmark compares ``support_size`` to one), and the cap bounds
+    the ((K-1)N)^phi(d+1) written out.  Once the values are
     independent, the argument in :func:`profile_bound` shows each support
     element is sum_beta c_beta f_beta, c_beta the sum of the a's of the
     t_beta interferers reaching beta, so an integer in [0, (K-1)N], and
@@ -635,7 +653,7 @@ class DofReport:
     K: int
     degree: int | None
     coeff_range: int
-    cardinality: int
+    cardinality: Power
     log_inv_r: float
     receivers: Tuple[ReceiverTerms, ...]
     total: float
@@ -662,7 +680,7 @@ def ratio_limit(K: int, d: int) -> float:
     return (K * (K - 1) + d + 1) / (d + 1)
 
 
-def _dof_report(K, d, N, cardinality, log_inv_r, entropies, ratio_bound):
+def _dof_report(K, d, N, size, log_inv_r, entropies, ratio_bound):
     """The report of per-receiver (H_full, H_int) pairs: each receiver's
     terms min(H / log2(1/r), 1) (0 when r = 1) and their left-folded total."""
     receivers = []
@@ -677,7 +695,7 @@ def _dof_report(K, d, N, cardinality, log_inv_r, entropies, ratio_bound):
         K=K,
         degree=d,
         coeff_range=N,
-        cardinality=cardinality,
+        cardinality=size,
         log_inv_r=log_inv_r,
         receivers=tuple(receivers),
         total=_left_sum(t.contribution for t in receivers),
@@ -722,21 +740,21 @@ def profile_bound(K: int, d: int, N: int) -> DofReport:
     sum_t n_t H_t(N) (:func:`multiplicity_profile`), H_t the entropy of a
     sum of t uniforms.  The phi(d) desired coordinates h_ii f_alpha are
     separate, each uniform: H_full = phi(d) log2 N + H_int, and |W_N| =
-    N^phi(d).  Nothing here reads the channel, so the K receivers' terms
-    are equal.  H_t comes from the scaled-uniform kernel, whose caps
-    refuse loudly; n_t H_t is folded from the left in t order.
+    N^phi(d), kept as the pair (N, phi(d)), so no degree is too large to
+    write.  Nothing here reads the channel, so the K receivers' terms are
+    equal.  H_t comes from the scaled-uniform kernel, whose caps refuse
+    loudly; n_t H_t is folded from the left in t order.  A phi or n_t past
+    the float range raises ``OverflowError``.
     """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
-    phi = monomial_count(K * (K - 1), d)  # refuses d < 0
-    cardinality = N**phi
-    log_inv_r = 2.0 * math.log2(cardinality)  # InputConstruction.log_inv_r
+    size = Power(N, monomial_count(K * (K - 1), d))  # refuses d < 0
     h_int = _left_sum(
         n * _scaled_uniform_law((1,) * t, N)[0]
         for t, n in multiplicity_profile(K, d).items()
     )
-    h_full = phi * math.log2(N) + h_int
-    return _dof_report(K, d, N, cardinality, log_inv_r, [(h_full, h_int)] * K,
+    h_full = size.exponent * math.log2(N) + h_int
+    return _dof_report(K, d, N, size, size.log_inv_r, [(h_full, h_int)] * K,
                        interference_ratio_bound(K, d, N))
 
 
@@ -767,7 +785,7 @@ def dof_lower_bound(
          sum_entropy_stats(matrix, i, False, construction)[0])
         for i in range(1, matrix.K + 1)
     ]
-    return _dof_report(matrix.K, d, N, construction.cardinality,
+    return _dof_report(matrix.K, d, N, construction.size,
                        construction.log_inv_r, entropies,
                        interference_ratio_bound(matrix.K, d, N))
 
@@ -779,7 +797,7 @@ def dof_lower_bound(
 class SweepCell:
     degree: int
     coeff_range: int
-    cardinality: int
+    cardinality: Power
     log_inv_r: float
     total: float
     interference_ratio_bound: float | None
@@ -889,7 +907,7 @@ def rational_example(
         lo = min(lo, (N - 1) * sum(c for c in coeffs if c < 0))
         hi = max(hi, (N - 1) * sum(c for c in coeffs if c > 0))
         entropies.append((h_diag + h_int, h_int))
-    report = _dof_report(K, None, N, N, log_inv_r, entropies, None)
+    report = _dof_report(K, None, N, Power(N, 1), log_inv_r, entropies, None)
     closed_form = K * math.log2(N) / log_inv_r if N > 1 else 0.0
     return RationalExampleReport(
         report=report,

@@ -497,16 +497,30 @@ class TestJacobianCertificate:
         assert check_condition_star(generic_channel(3), 16, 2) == report.verdicts[1]
         # the gated bound at d=15 gates at d+1 = 16
         bound = dof_lower_bound(generic_channel(3), 15, 2)
-        assert bound.cardinality == 2 ** monomial_count(6, 15)
+        assert bound.cardinality == (2, monomial_count(6, 15))
 
     def test_monomial_cap_still_refuses_degree_17(self):
         message = r"^monomial enumeration: size 100947 exceeds cap 100000$"
         m = generic_channel(3)
-        for check in (lambda: check_all(m, 17),
-                      lambda: check_condition_star(m, 17, 1),
-                      lambda: containment_check(m, 1, 16, 2)):
-            with pytest.raises(CapExceededError, match=message):
-                check()
+        with pytest.raises(CapExceededError, match=message):
+            containment_check(m, 1, 16, 2)
+
+    @pytest.mark.parametrize("d", [17, 4096])
+    def test_certified_verdicts_count_phi_at_any_degree(self, monkeypatch, d):
+        # phi(17) = 100,947 is past the monomial cap, which guards only
+        # what is built; a certified receiver builds nothing.
+        def refuse(*args):
+            raise AssertionError("a monomial family was built")
+
+        monkeypatch.setattr(condition, "basis_values", refuse)
+        monkeypatch.setattr(algebra, "enumerate_monomials", refuse)
+        m = generic_channel(3)
+        size = 2 * math.comb(6 + d, 6)
+        report = check_all(m, d)
+        assert report.independent
+        assert [(v.rank, v.family_size) for v in report.verdicts] == [
+            (size, size)] * 3
+        assert check_condition_star(m, d, 1) == report.verdicts[0]
 
     def test_refusals_before_the_certificate_are_kept(self):
         m = generic_channel(3)
@@ -514,6 +528,34 @@ class TestJacobianCertificate:
             check_condition_star(m, 1, 4)
         with pytest.raises(ValueError, match="degree bound must be non-negative"):
             check_all(m, -1)
+
+    def test_uncertified_four_entry_channel_refused_at_degree_8(self):
+        # The CI channel checked at d=7 (3,432 columns).  Receivers 1 and 3
+        # need the per-degree check, and at d=8 their family has
+        # 2 C(14, 8) = 6,006 columns, past the 4,000-column cap, for the
+        # check and for the gate of the bound at d=7.
+        doc = store_channel(generic_channel(3))
+        doc["entries"][0][0] = "-5*h13^2 - 3*h12 + 4*h33"
+        doc["entries"][1][2] = "h33^2"
+        doc["entries"][2][0] = "3*h11^2 - 4*h32^2 + 3*h12^2"
+        doc["entries"][2][1] = "-4*h32"
+        m = load_channel(doc)
+        assert [jacobian_certifies(m, i) for i in (1, 2, 3)] == [False, True, False]
+        message = "^elimination columns: size 6006 exceeds cap 4000$"
+        for check in (lambda: check_all(m, 8), lambda: dof_lower_bound(m, 7, 2)):
+            with pytest.raises(CapExceededError, match=message):
+                check()
+
+    @pytest.mark.parametrize("receiver", [0, 4])
+    def test_receiver_range_checked_before_the_family(self, receiver):
+        # 2 phi(9) = 10,010 columns: building the family would hit the
+        # elimination cap first.
+        m = _with_h(3, (1, 2), "h12 + h13")
+        message = f"^receiver {receiver} out of range 1..3$"
+        for check in (lambda: check_condition_star(m, 9, receiver),
+                      lambda: monomial_values(m, 9, receiver)):
+            with pytest.raises(ValueError, match=message):
+                check()
 
     def test_rank_deficient_jacobian_falls_back(self, monkeypatch):
         # h32 = -3 h22^2: receiver 2's Jacobian has rank 6 of 7, yet h22 is

@@ -544,7 +544,7 @@ class TestRatios:
 class TestDofLowerBound:
     def test_generic_k3_d1_n2(self):
         report = dof_lower_bound(generic_channel(3), 1, 2)
-        assert report.cardinality == 128
+        assert report.cardinality == (2, 7)
         assert report.log_inv_r == pytest.approx(14.0)
         assert report.total == pytest.approx(3 / 28, abs=1e-12)
         for t in report.receivers:
@@ -563,7 +563,7 @@ class TestDofLowerBound:
         phi = monomial_count(6, d)
         phi_prev = monomial_count(6, d - 1) if d else 0
         report = dof_lower_bound(generic_channel(3), d, 2)
-        assert report.cardinality == 2**phi
+        assert report.cardinality == (2, phi)
         for t in report.receivers:
             assert t.entropy_interference_bits == pytest.approx(
                 2 * phi - phi_prev / 2, abs=1e-9
@@ -584,7 +584,7 @@ class TestDofLowerBound:
 
     def test_degenerate_n1(self):
         report = dof_lower_bound(generic_channel(2), 0, 1)
-        assert report.cardinality == 1
+        assert report.cardinality == (1, 1)
         assert report.total == 0.0
         assert report.interference_ratio_bound is None
 
@@ -794,7 +794,62 @@ class TestProfileBound:
                 n * math.log2(n) for n in counts) / N**2
             want = 3 * d / (d + 6) * (2 * math.log2(N) - h2) / (2 * math.log2(N))
             assert math.isclose(c.total, want, rel_tol=1e-12)
-            assert c.cardinality == N ** monomial_count(6, d)
+            assert c.cardinality == (N, monomial_count(6, d))
+
+    def test_k3_closed_form_past_the_old_caps(self):
+        # n_1 = 2 phi(d) - 2 phi(d-1) coordinates hold one uniform and
+        # n_2 = phi(d-1) the sum of two, so each receiver contributes
+        # 1 - (n_1 log2 N + n_2 H_2(N)) / (2 phi(d) log2 N); H_2 is the
+        # entropy of the triangle law 1, 2, ..., N, ..., 2, 1 over N^2.
+        degrees, ranges = [64, 4096], [2, 256]
+        cells = sweep(generic_channel(3), degrees, ranges)
+        for c in cells:
+            d, N = c.degree, c.coeff_range
+            phi, phi_prev = math.comb(6 + d, 6), math.comb(5 + d, 6)
+            log_n = math.log2(N)
+            h2 = 2 * log_n - (2 * math.fsum(k * math.log2(k) for k in range(1, N))
+                              + N * log_n) / N**2
+            h_int = (2 * phi - 2 * phi_prev) * log_n + phi_prev * h2
+            want = 3 * (1 - h_int / (2 * phi * log_n))
+            assert math.isclose(c.total, want, rel_tol=1e-12)
+            assert c.cardinality == (N, phi)
+
+    @pytest.mark.parametrize("K,d,N,total", [
+        (3, 128, 8192, 1.3533), (4, 512, 16384, 1.8048),
+        (5, 2048, 16384, 2.2516)])
+    def test_nine_tenths_of_k_over_2(self, K, d, N, total):
+        # The smallest (d, N), over powers of two, whose total reaches
+        # 0.9 K/2; |W_N| = N^phi(d) has 10^11 to 10^35 bits.
+        report = dof_lower_bound(generic_channel(K), d, N)
+        assert round(report.total, 4) == total >= 0.9 * K / 2
+        assert report.cardinality == (N, math.comb(K * (K - 1) + d, d))
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    @pytest.mark.parametrize("N", [3, 256])
+    def test_limit_in_d(self, K, N):
+        # As d grows, the total tends to (K/2)(2 - H_{K-1}(N)/log2 N).
+        # With term_full = 1, the gap to it is K (phi H_{K-1} - sum_t n_t
+        # H_t) / (2 phi log2 N).  As 0 <= H_t <= H_{K-1}, sum_t n_t H_t lies
+        # between n_{K-1} H_{K-1} and S H_{K-1}, S = sum_t n_t, so the gap is
+        # at most K H_{K-1} max(phi - n_{K-1}, S - phi) / (2 phi log2 N):
+        # 0.0006-0.016 at d = 2^14, with 1e-12 more for rounding.  Here
+        # n_{K-1} = phi(d+2-K) counts the monomials divisible by all K-1
+        # interferer variables, S the degree-<=(d+1) monomials divisible by
+        # at least one.
+        d, m = 2**14, K * (K - 1)
+        counts = np.ones(1, np.int64)
+        for _ in range(K - 1):
+            counts = np.convolve(counts, np.ones(N, np.int64))
+        h_top = (K - 1) * math.log2(N) - math.fsum(
+            int(c) * math.log2(int(c)) for c in counts) / N ** (K - 1)
+        limit = K / 2 * (2 - h_top / math.log2(N))
+        phi = math.comb(m + d, m)
+        n_top = math.comb(m + d + 2 - K, m)
+        shared = math.comb(m + d + 1, m) - math.comb(m - K + 1 + d + 1, m - K + 1)
+        tol = K * h_top * max(phi - n_top, shared - phi) / (2 * phi * math.log2(N))
+        report = profile_bound(K, d, N)
+        assert all(t.term_full == 1.0 for t in report.receivers)
+        assert abs(report.total - limit) <= tol + 1e-12
 
     @pytest.mark.parametrize("K,d", [(2, 0), (2, 3), (3, 0), (3, 2), (4, 1),
                                      (4, 2), (5, 1)])

@@ -7,9 +7,12 @@ the wall clock and the tool version, is left out), the data rows of a CSV
 payload, or a list of atoms.  Floats round-trip through JSON exactly, so an
 equal case is a byte-identical payload.  The goldens in
 ``golden/cli_payloads.json`` were captured before the structural shortcuts
-(lazy W_N, independence of distinct single terms) existed; they must not
-move any payload.  To regenerate them for a change that means to alter a
-payload, run ``PYTHONPATH=src python tests/test_golden.py``.
+(lazy W_N, independence of distinct single terms) existed, and were
+regenerated once when sizes came to be written factored: ``cardinality``
+as ``"b^e"``, ``contraction`` as ``"1/b^(2e)"`` and log2(1/r) as
+2 e log2 b, which moved the last bits of some gated totals.  A shortcut
+must not move any payload.  To regenerate them for a change that means to
+alter a payload, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -143,8 +146,8 @@ CASES = {
         )
         for N in (2, 3, 4)
     },
-    # The largest printable N=3 cell.  The waived exact path's total is
-    # 2e-13 (relative) off this one, so the case pins the path taken.
+    # A gated N=3 cell past d=1.  The waived exact path's total is 2e-13
+    # (relative) off this one, so the case pins the path taken.
     "bound generic3 d=8 N=3": lambda w: _report(
         w, "bound", "generic3", "--degree", "8", "--range", "3"),
     "bound multi3 d=0 N=4": lambda w: _report(
