@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .errors import CapExceededError
 
@@ -71,15 +71,6 @@ def capped_monomial_count(m: int, d: int) -> int:
     return total
 
 
-def _monomials_of_degree(m: int, deg: int) -> Iterable[Monomial]:
-    if m == 1:
-        yield (deg,)
-        return
-    for first in range(deg + 1):
-        for rest in _monomials_of_degree(m - 1, deg - first):
-            yield (first,) + rest
-
-
 def enumerate_monomials(m: int, d: int) -> list[Monomial]:
     """All monomials in ``m`` variables of degree <= ``d``, graded-lex sorted.
 
@@ -87,12 +78,18 @@ def enumerate_monomials(m: int, d: int) -> list[Monomial]:
     prefix of the list for ``d + 1`` (degrees are enumerated in order, each
     degree internally in lexicographic order).  More than
     ``DEFAULT_MONOMIAL_CAP`` monomials are refused before any is built.
+
+    The lists are built from the last variable forwards: the degree-s
+    monomials in one more variable are each first exponent, ascending,
+    followed by every degree-(s - first) tail in its lexicographic order.
     """
     capped_monomial_count(m, d)
-    out: list[Monomial] = []
-    for deg in range(d + 1):
-        out.extend(_monomials_of_degree(m, deg))
-    return out
+    tails = [[(s,)] for s in range(d + 1)]
+    for _ in range(m - 1):
+        tails = [[(first,) + rest
+                  for first in range(s + 1) for rest in tails[s - first]]
+                 for s in range(d + 1)]
+    return [mono for level in tails for mono in level]
 
 
 def _exact(value):

@@ -38,14 +38,18 @@ _DEPTH_STEP = np.zeros(256, np.int8)
 _DEPTH_STEP[[ord("["), ord("{")]] = 1
 _DEPTH_STEP[[ord("]"), ord("}")]] = -1
 
+#: ``_dump_json`` lays out about this many bytes of compact text at a time.
+_BLOCK = 1 << 16
+
 
 def _dump_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, from the C encoder.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set (CPython 3.11 and earlier).  Here the C encoder writes the compact text with the separators
-    ``","`` and ``": "`` that ``indent=2`` uses, so only the line breaks and
-    indents are missing, and numpy inserts them in one output array:
+    is set (CPython 3.11 and earlier).  Here the C encoder writes the
+    compact text with the separators ``","`` and ``": "`` that ``indent=2``
+    uses, so only the line breaks and indents are missing, and numpy
+    inserts them:
 
     * ``ensure_ascii`` escapes every control and non-ASCII character, so the
       text is ASCII, and a backslash occurs only inside a string, where it
@@ -57,34 +61,57 @@ def _dump_json(payload: dict) -> str:
       each ``,``, and the same before each ``]``/``}`` that does not close an
       empty container.  Numbers, ``true``/``false``/``null`` and
       ``NaN``/``Infinity`` hold no structural character.
+
+    The text is laid out in blocks of about ``_BLOCK`` bytes, so besides
+    the compact text and the output only block-sized arrays are held.  A
+    block never ends on a backslash, so each run of backslashes is masked
+    within one block, pairing from its first backslash as the whole text
+    would.  From block to block the string parity, the depth and whether
+    the last byte opened a container are carried; whether that container
+    is empty is read from the byte one ahead, which after an opening
+    bracket cannot be inside a string.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ": ")).encode("ascii")
-    raw = np.frombuffer(text, np.uint8)
-    masked = np.frombuffer(text.replace(b"\\\\", b"\0\0"), np.uint8)
-    quote = masked == ord('"')
-    quote[1:] &= masked[:-1] != ord("\\")
-    inside = np.logical_xor.accumulate(quote)
-    step = _DEPTH_STEP[raw]
-    step[inside] = 0
-    # The encoder's recursion limit bounds the nesting depth far below 2^31;
-    # output offsets are not bounded, so they are intp.
-    depth = np.cumsum(step, dtype=np.int32)
-    opens, closes = step > 0, step < 0
-    # empty[i + 1]: byte i opens an empty container; empty[i]: byte i closes one.
-    empty = np.zeros(raw.size + 1, bool)
-    empty[1:-1] = opens[:-1] & closes[1:]
-    breaks = (opens & ~empty[1:]) | ((raw == ord(",")) & ~inside)
-    shut = closes & ~empty[:-1]
-    width = 2 * depth + 1
-    before, after = width * shut, width * breaks
-    pos = np.cumsum(before + after, dtype=np.intp) - after
-    pos += np.arange(raw.size)
-    out = np.full(pos[-1] + after[-1] + 2, ord(" "), np.uint8)
-    out[pos] = raw
-    out[pos[shut] - before[shut]] = ord("\n")
-    out[pos[breaks] + 1] = ord("\n")
-    out[-1] = ord("\n")
-    return out.tobytes().decode("ascii")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ": "))
+    parts = []
+    inside, depth, opened = False, 0, False
+    begin = 0
+    while begin < len(text):
+        end = begin + _BLOCK
+        while end < len(text) and text[end - 1] == "\\":
+            end += 1
+        chunk = text[begin:end]
+        raw = np.frombuffer(chunk.encode("ascii"), np.uint8)
+        masked = np.frombuffer(chunk.replace("\\\\", "\0\0").encode("ascii"), np.uint8)
+        quote = masked == ord('"')
+        quote[1:] &= masked[:-1] != ord("\\")
+        within = np.logical_xor.accumulate(quote) ^ inside
+        step = _DEPTH_STEP[raw]
+        step[within] = 0
+        # The encoder's recursion limit bounds the nesting depth far below
+        # 2^31; output offsets are not bounded, so they are intp.
+        depths = np.cumsum(step, dtype=np.int32) + depth
+        opens, closes = step > 0, step < 0
+        # empty[i + 1]: byte i opens an empty container; empty[i]: byte i
+        # closes one.
+        empty = np.zeros(raw.size + 1, bool)
+        empty[0] = opened and closes[0]
+        empty[1:-1] = opens[:-1] & closes[1:]
+        empty[-1] = opens[-1] and text[end:end + 1] in ("]", "}")
+        breaks = (opens & ~empty[1:]) | ((raw == ord(",")) & ~within)
+        shut = closes & ~empty[:-1]
+        width = 2 * depths + 1
+        before, after = width * shut, width * breaks
+        pos = np.cumsum(before + after, dtype=np.intp) - after
+        pos += np.arange(raw.size)
+        out = np.full(pos[-1] + after[-1] + 1, ord(" "), np.uint8)
+        out[pos] = raw
+        out[pos[shut] - before[shut]] = ord("\n")
+        out[pos[breaks] + 1] = ord("\n")
+        parts.append(out.tobytes().decode("ascii"))
+        inside, depth, opened = bool(within[-1]), int(depths[-1]), bool(opens[-1])
+        begin = end
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _digest(path) -> str:

@@ -81,6 +81,13 @@ def jacobian_certifies(
         return False
 
 
+def certifies_every_receiver(matrix: ChannelMatrix) -> bool:
+    """True only if every receiver :func:`jacobian_certifies`, so that
+    :func:`require_independent` passes at every degree."""
+    off = [_gradient(entry) for entry in off_diagonal(matrix)]
+    return all(jacobian_certifies(matrix, i, off) for i in range(1, matrix.K + 1))
+
+
 def basis_values(matrix: ChannelMatrix, d: int):
     """The values f_1(h), ..., f_phi(h) as exact polynomials in the generators.
 

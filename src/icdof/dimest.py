@@ -24,15 +24,23 @@ from . import ifs
 from .ifs import IFSSpec
 
 
+#: ``quantized_entropy`` counts the cells of this many samples at a time.
+_BLOCK = 1 << 16
+
+
 def quantized_entropy(
     samples: np.ndarray, k: int, miller_madow: bool = False
 ) -> float:
     """Plug-in entropy in bits of the multiset {floor(k * x)}.
 
     With ``miller_madow`` the small-sample bias correction
-    (occupied - 1)/(2 n ln 2) is added.  The cells are counted by their runs;
-    cells that do not come out sorted (as they do for sorted samples) are
-    sorted in place first.  ``-0.0`` and ``0.0`` compare equal and share a run.
+    (occupied - 1)/(2 n ln 2) is added.  The cells are counted by their runs,
+    in increasing cell order; ``-0.0`` and ``0.0`` compare equal and share a
+    run.  Samples whose cells do not come out sorted are counted from a
+    sorted copy: x -> floor(k*x) is monotone, so its cells come out sorted,
+    and the counts and their order, and so the float sum, are the same.
+    On sorted samples no copy is made: beyond the counts, at most
+    ``_BLOCK`` cells are held at once.
     """
     if k < 1:
         raise ValueError(f"quantization level must be >= 1, got {k}")
@@ -40,14 +48,11 @@ def quantized_entropy(
     n = samples.size
     if n == 0:
         raise ValueError("need at least one sample")
-    cells = k * samples
-    np.floor(cells, out=cells)
-    if not (cells[1:] >= cells[:-1]).all():
-        cells.sort()
-    if np.isnan(cells[-1]):  # NaN sorts last, and no two NaNs form a run
+    counts = _sorted_cell_counts(samples, k)
+    if counts is None:
+        counts = _sorted_cell_counts(np.sort(samples), k)
+    if counts is None:  # NaN sorts last and fails every comparison
         raise ValueError("samples must not be NaN")
-    starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
-    counts = np.diff(starts, prepend=0, append=n)
     occupied = len(counts)
     if occupied > n / 10:
         warnings.warn(
@@ -60,6 +65,30 @@ def quantized_entropy(
     if miller_madow:
         entropy += (occupied - 1) / (2 * n * math.log(2))
     return entropy
+
+
+def _sorted_cell_counts(samples: np.ndarray, k: int) -> np.ndarray | None:
+    """Run lengths of floor(k*x) along ``samples``, or None unless every cell
+    is at least the one before it (a NaN cell never is).
+
+    The cells are built one block at a time behind the last cell of the
+    block before, which the first block takes from its own first cell.
+    """
+    n = samples.size
+    window = np.empty(min(n, _BLOCK) + 1)
+    starts = []
+    for begin in range(0, n, _BLOCK):
+        part = samples[begin:begin + _BLOCK]
+        cells = window[:part.size + 1]
+        np.multiply(part, k, out=cells[1:])
+        np.floor(cells[1:], out=cells[1:])
+        if begin == 0:
+            cells[0] = cells[1]
+        if not (cells[1:] >= cells[:-1]).all():
+            return None
+        starts.append(np.flatnonzero(cells[1:] != cells[:-1]) + begin)
+        window[0] = cells[-1]
+    return np.diff(np.concatenate(starts), prepend=0, append=n)
 
 
 def required_depth(spec: IFSSpec, k_max: int) -> int:

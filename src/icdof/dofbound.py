@@ -810,9 +810,12 @@ def sweep(
     ranges: Sequence[int],
     waive_condition: bool = False,
 ) -> List[SweepCell]:
-    """Grid of dof_lower_bound cells; the condition is checked once per degree.
+    """Grid of dof_lower_bound cells under one condition gate.
 
-    Once a degree's gate has passed, each of its cells is a
+    A channel that :func:`condition.certifies_every_receiver` is decided
+    once for the whole grid; any other is gated at each degree in turn, so
+    the first failing degree raises with its report.  Once a degree's
+    gate has passed, each of its cells is a
     :func:`profile_bound`; a waived grid runs the exact path in every cell.
 
     At a fixed degree the total is not promised to increase in N: at d=0 it
@@ -823,9 +826,10 @@ def sweep(
 
     if not degrees or not ranges:
         raise ValueError("sweep needs at least one degree and one range")
+    settled = waive_condition or condition_mod.certifies_every_receiver(matrix)
     cells = []
     for d in degrees:
-        if not waive_condition:
+        if not settled:
             condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()

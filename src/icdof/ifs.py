@@ -249,11 +249,9 @@ def sample(
     not depend on how many siblings are spawned after it.  Each chunk fills
     its slice of one output array; ``np.array_split`` makes the first
     ``count % chunks`` slices one longer.  Adding ``(scale*atoms)[idx]`` adds
-    the same products as ``scale*atoms[idx]``.  Each level is drawn in
-    consecutive blocks of ``_BLOCK`` entries, so its temporaries (uniforms,
-    labels, gathered steps) are block-sized.  ``rng.random`` over
-    consecutive blocks consumes the stream as one call over the whole slice
-    does, so the bytes do not depend on the block size.
+    the same products as ``scale*atoms[idx]``.  Each level is drawn by
+    :func:`_add_draws`, so its temporaries (uniforms, labels, gathered
+    steps) are block-sized.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -272,12 +270,20 @@ def sample(
         rng = np.random.default_rng(child)
         scale = 1.0
         for _ in range(depth):
-            step = scale * atoms
-            for start in range(0, acc.size, _BLOCK):
-                part = acc[start:start + _BLOCK]
-                part += step[draw(rng, part.size)]
+            _add_draws(acc, scale * atoms, draw, rng)
             scale *= r
     return out
+
+
+def _add_draws(acc: np.ndarray, step: np.ndarray, draw, rng) -> None:
+    """``acc += step[draw(rng, acc.size)]``, drawn in blocks of ``_BLOCK``.
+
+    ``rng.random`` over consecutive blocks consumes the stream as one call
+    over the whole array does, so the bytes do not depend on the block size.
+    """
+    for start in range(0, acc.size, _BLOCK):
+        part = acc[start:start + _BLOCK]
+        part += step[draw(rng, part.size)]
 
 
 def truncation_bound(spec: IFSSpec, depth: int) -> float:
@@ -300,20 +306,24 @@ def fixed_point_discrepancy(
     wrong ``r_second`` is the negative control.
 
     The statistic is max_x |F1(x) - F2(x)| over the two empirical cdfs,
-    computed in integers.  Both samples are sorted and concatenated, and a
+    computed in integers.  Both samples are sorted in one array, and a
     stable argsort merges the two sorted runs.  Along the merge,
     walk = cumsum(+1 per first-sample point, -1 per second-sample point) is
     count*(F1(x) - F2(x)) at the last point of the tie group of each sample
     value x, and the maximum is taken at those points (the walk's last
     value is 0).  Returning that integer over ``count`` gives the exact
-    statistic, correctly rounded.  The tie mask is taken from the merged
-    values, which are then dropped, and the walk is the cumulative sum of
-    int8 steps.  A partial sum of the 2*count steps is at most 2*count in
-    magnitude, so int32 holds the walk while 2*count < 2^31; int64 is used
-    past that.  It is the ``ks_2samp`` statistic of
+    statistic, correctly rounded.  It is the ``ks_2samp`` statistic of
     SciPy's stats module bit for bit whenever count <= 10,000, where its
     exact mode returns h/count; above that it subtracts two rounded cdf
     values, which can differ from h/count in the last bit.
+
+    Memory: the two samples and the merge order, 2*count floats and
+    2*count indices, and nothing else of their size.  The offsets W are
+    added to r*X' in place, drawn in blocks as :func:`sample` draws (so
+    they are the labels one ``draw(rng, count)`` returns).  The merge is
+    walked ``_BLOCK`` positions at a time, carrying the walk value, and a
+    block's last tie group is closed by the value one position ahead, so
+    the integer maximum is the one the whole walk gives.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -321,20 +331,22 @@ def fixed_point_discrepancy(
         raise ValueError("count must be >= 1")
     ss = np.random.SeedSequence(seed)
     s_direct, s_scaled, s_offset = ss.spawn(3)
-    direct = sample(spec, depth, count, s_direct)
-    inner = sample(spec, depth - 1, count, s_scaled)
-    draw = _label_sampler(spec)
-    offsets = spec.atoms_float()[draw(np.random.default_rng(s_offset), count)]
-    r2 = float(spec.r) if r_second is None else float(r_second)
-    both = np.concatenate([np.sort(direct), np.sort(r2 * inner + offsets)])
-    del direct, inner, offsets
+    both = np.empty(2 * count)
+    first, second = both[:count], both[count:]
+    first[:] = sample(spec, depth, count, s_direct)
+    second[:] = sample(spec, depth - 1, count, s_scaled)
+    second *= float(spec.r) if r_second is None else float(r_second)
+    _add_draws(second, spec.atoms_float(), _label_sampler(spec),
+               np.random.default_rng(s_offset))
+    first.sort()
+    second.sort()
     order = np.argsort(both, kind="stable")
-    merged = both[order]
-    del both
-    last = merged[1:] != merged[:-1]
-    del merged
-    steps = np.where(order < count, np.int8(1), np.int8(-1))
-    del order
-    walk = np.cumsum(steps, dtype=np.int32 if 2 * count < 2**31 else np.int64)
-    gap = np.abs(walk[:-1][last]).max(initial=0)
-    return int(gap) / count
+    gap = walk = 0
+    for start in range(0, order.size, _BLOCK):
+        block = order[start:start + _BLOCK]
+        ahead = both[order[start:start + _BLOCK + 1]]
+        ends = ahead[1:] != ahead[:-1]
+        walks = np.cumsum(np.where(block < count, 1, -1)) + walk
+        gap = max(gap, int(np.abs(walks[:ends.size][ends]).max(initial=0)))
+        walk = int(walks[-1])
+    return gap / count

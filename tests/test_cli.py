@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import icdof
 from icdof.channel import generic_channel, store_channel
-from icdof import condition
+from icdof import cli, condition, ifs
 from icdof.cli import _dump_json, main, parse_ifs_spec
 from test_channel import MISREAD, MISREAD_BASE
 
@@ -535,6 +537,35 @@ class TestDumpJson:
     @example(json.loads("[" * 200 + '{"deep": [1]}' + "]" * 200))
     def test_equals_indented_dumps(self, value):
         assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES, st.sampled_from([1, 2, 3, 7]))
+    @example({"a": "\\\\\"", "b": ["\\", "\\\\"]}, 3)
+    @example({"k": [{}, [], [[{}]], "[{,:}]"], "": None}, 1)
+    @example({"k": [{}, [], [[{}]], "[{,:}]"], "": None}, 7)
+    @example([[], {}, [{}], "\\\\\\\\\\\\\\", [[]]], 2)
+    def test_small_blocks_equal_indented_dumps(self, value, block):
+        # Escapes, backslash runs, empty containers and string brackets
+        # fall across the block edges.
+        want = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK", block)
+            assert _dump_json(value) == want
+
+    def test_large_report_holds_block_sized_arrays(self):
+        # The 4.08 MB depth-7 overlap report: the compact text, the output
+        # and block-sized arrays, not a dozen per-byte arrays of the text.
+        pairs = ifs.exact_overlap_search(ifs.IFSSpec(Fraction(1, 2), (0, 1, 2)), 7)
+        overlaps = [{"word_a": list(p.word_a), "word_b": list(p.word_b),
+                     "delta_abs": p.delta_abs} for p in pairs]
+        payload = {"report": {"overlaps": overlaps}}
+        tracemalloc.start()
+        try:
+            text = _dump_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 4_000_000 and peak <= 5 * len(text)
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from icdof import dimest
 from icdof.dimest import (
     aligned_k_grid,
     compare_with_formula,
@@ -89,11 +91,51 @@ class TestQuantizedEntropyMatchesUnique:
             for x in (samples, np.sort(samples)):
                 assert quantized_entropy(x, k, mm) == unique_entropy(x, k, mm)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 0.75, 2.5])
+                 | st.floats(-4, 4), min_size=1, max_size=40),
+        st.integers(1, 8),
+        st.booleans(),
+        st.sampled_from([1, 2, 3, 7]),
+    )
+    @example([0.0, -0.0, 0.1, 0.2, 0.3, 0.9, 1.0], 2, False, 3)
+    @example([0.5, 0.25, 0.75, 0.5], 4, True, 2)
+    def test_small_blocks_equal_unique_oracle(self, values, k, mm, block):
+        # Runs of equal cells cross the block edges, on sorted input and on
+        # input whose cells are out of order late in the array.
+        samples = np.array(values)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore")
+            patch.setattr(dimest, "_BLOCK", block)
+            for x in (np.sort(samples), samples):
+                assert quantized_entropy(x, k, mm) == unique_entropy(x, k, mm)
+
     @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, np.nan],
                                         [np.nan, 0.5, np.nan]])
     def test_nan_refused(self, values):
         with pytest.raises(ValueError, match="NaN"):
             quantized_entropy(np.array(values), 4)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("values", [[np.nan, 0.5], [0.25, 0.5, np.nan],
+                                        [0.25, np.nan, 0.5, 0.75]])
+    def test_nan_refused_across_blocks(self, values, block, monkeypatch):
+        monkeypatch.setattr(dimest, "_BLOCK", block)
+        with pytest.raises(ValueError, match="NaN"):
+            quantized_entropy(np.array(values), 4)
+
+    def test_sorted_samples_are_counted_without_a_copy(self):
+        # 4*10^6 sorted samples (32 MB) at k = 729: the cells are built a
+        # block at a time, so the call holds no sample-sized array.
+        samples = np.sort(np.random.default_rng(8).random(4_000_000))
+        tracemalloc.start()
+        try:
+            quantized_entropy(samples, 729, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestDepthAndGrid:

@@ -664,6 +664,32 @@ class TestSweep:
         with pytest.raises(ConditionNotSatisfiedError):
             sweep(rational_channel([[2, 1], [1, 3]]), [0], [2])
 
+    def test_certified_channel_decided_once_per_grid(self, monkeypatch):
+        calls = []
+        certifies = condition.jacobian_certifies
+
+        def counted(*args):
+            calls.append(args[1:2])
+            return certifies(*args)
+
+        monkeypatch.setattr(condition, "jacobian_certifies", counted)
+        cells = sweep(generic_channel(3), range(200), [2])
+        assert len(cells) == 200 and calls == [(1,), (2,), (3,)]
+
+    def test_uncertified_channel_raises_at_its_first_failing_degree(self):
+        # h11 = h12^2: the gate at d+1 passes at 1 and fails at 2, where
+        # h11 * 1 equals the basis value h12^2.
+        m = load_channel({"K": 2, "generators": ["h12", "h21", "h22"],
+                          "entries": [["h12^2", "h12"], ["h21", "h22"]]})
+        assert not condition.certifies_every_receiver(m)
+        assert len(sweep(m, [0], [2])) == 1
+        with pytest.raises(ConditionNotSatisfiedError) as exc:
+            sweep(m, [0, 1, 2], [2])
+        report = exc.value.report
+        assert report.degree == 2
+        assert [v.independent for v in report.verdicts] == [False, True]
+        assert report.verdicts[0].certificate.is_valid(m)
+
 
 def _coeff():
     return st.builds(lambda p, q: f"{p}/{q}",

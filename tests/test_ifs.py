@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -440,6 +441,32 @@ class TestFixedPoint:
         want = ks_oracle(*fixed_point_samples(spec, depth, count, seed, r_second))
         got = fixed_point_discrepancy(spec, depth, count, seed, r_second)
         assert got == float(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TIED_SPECS), st.integers(2, 3), st.integers(1, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from([None, 0.5, 0.25]),
+           st.sampled_from([1, 2, 3, 7]))
+    def test_small_blocks_equal_exact_statistic(self, spec, depth, count, seed,
+                                                r_second, block):
+        # The lattice laws put tie groups across the walk's block edges.
+        from scipy.stats import ks_2samp
+
+        x, y = fixed_point_samples(spec, depth, count, seed, r_second)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ifs_module, "_BLOCK", block)
+            got = fixed_point_discrepancy(spec, depth, count, seed, r_second)
+        assert got == float(ks_oracle(x, y)) == ks_2samp(x, y).statistic
+
+    def test_merge_holds_no_third_sample_sized_array(self):
+        # At 10^6 draws the two samples and their merge order take 32 MB;
+        # the offsets and the walk are drawn and taken in blocks.
+        tracemalloc.start()
+        try:
+            fixed_point_discrepancy(CANTOR, 4, 1_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40_000_000
 
     def test_large_count_is_a_correctly_rounded_ratio(self):
         # Past 10,000 draws the statistic is still h/count for the integer
