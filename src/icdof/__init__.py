@@ -19,7 +19,6 @@ from .condition import (
     ConditionReport,
     DependenceCertificate,
     check_all,
-    check_condition_star,
     monomial_values,
 )
 from .dimest import compare_with_formula, estimate_dimension, quantized_entropy

@@ -242,8 +242,9 @@ def integer_offdiag_channel(
 ) -> ChannelMatrix:
     """Integer off-diagonal entries, distinct-generator (irrational) diagonals.
 
-    ``offdiag[i][j]`` supplies h_ij for i != j; the diagonal positions of the
-    input grid are ignored.
+    ``offdiag[i][j]`` supplies h_ij for i != j, a nonzero integer (a float
+    or fraction with a fractional part is refused, not truncated); the
+    diagonal positions of the input grid are ignored.
     """
     K = len(offdiag)
     names = tuple(f"h{i}{i}" for i in range(1, K + 1))
@@ -254,11 +255,12 @@ def integer_offdiag_channel(
             if i == j:
                 row.append(AlgebraElement.generator(K, i))
             else:
-                value = int(offdiag[i][j])
-                if value == 0:
+                value = offdiag[i][j]
+                if value == 0 or value % 1:
                     raise ChannelFormatError(
-                        f"off-diagonal entry h{i + 1}{j + 1} must be nonzero"
+                        f"off-diagonal entry h{i + 1}{j + 1} must be a "
+                        f"nonzero integer, got {value!r}"
                     )
-                row.append(AlgebraElement.constant(K, value))
+                row.append(AlgebraElement.constant(K, int(value)))
         rows.append(tuple(row))
     return ChannelMatrix(K, names, tuple(rows), diagonal_valuation)

@@ -198,12 +198,15 @@ def _parse_ifs_value(v):
 
 
 def parse_ifs_spec(text: str) -> IFSSpec:
-    """IFS spec from inline JSON or a file path."""
-    path = Path(text)
-    if path.exists():
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    else:
+    """IFS spec from inline JSON or a file path.
+
+    A spec is a JSON object, so text that opens with ``{`` is read as one
+    and never handed to the file system, where a long spec is no valid name.
+    """
+    if text.lstrip().startswith("{"):
         doc = json.loads(text)
+    else:
+        doc = json.loads(Path(text).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "r" not in doc or "atoms" not in doc:
         raise ValueError(
             'IFS spec must be an object with "r" and "atoms" (optional "probs")'
@@ -212,7 +215,7 @@ def parse_ifs_spec(text: str) -> IFSSpec:
     try:
         r = _parse_ifs_value(doc["r"])
         atoms = tuple(_parse_ifs_value(a) for a in doc["atoms"])
-        probs = tuple(Fraction(p) for p in probs) if probs else None
+        probs = None if probs is None else tuple(Fraction(p) for p in probs)
     except (ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"IFS spec holds a malformed number: {exc}") from None
     return IFSSpec(r, atoms, probs)
@@ -228,11 +231,8 @@ def _int_list(text: str) -> list[int]:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
-    if args.receiver is not None:
-        verdict = condition.check_condition_star(matrix, args.degree, args.receiver)
-        report = condition.ConditionReport(args.degree, (verdict,))
-    else:
-        report = condition.check_all(matrix, args.degree)
+    receivers = None if args.receiver is None else [args.receiver]
+    report = condition.check_all(matrix, args.degree, receivers)
     manifest = _manifest(
         "check",
         {"degree": args.degree, "receiver": args.receiver},

@@ -7,8 +7,11 @@ For receiver i and degree cutoff d the checked family is
 where f_1, f_2, ... enumerate the monomials of degree <= d in the K(K-1)
 off-diagonal entries and phi = C(K(K-1) + d, d).
 
-A receiver that :func:`jacobian_certifies` is independent at every degree,
-and its family is never built.  Any other is checked at the given degree:
+:func:`check_all` is the one place the condition is decided, for every
+receiver or for the ones asked for, and :func:`require_independent` is the
+gate over it.  A receiver that :func:`jacobian_certifies` is independent at
+every degree, and its family is never built.  Any other is checked at the
+given degree:
 the family is expanded into exact polynomials in the channel generators,
 and independence over the rationals is a rank question over their sparse
 coefficient columns, decided by ``linalg.eliminate_columns``, which also
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import AlgebraElement, Rational, enumerate_monomials, monomial_count
 from .channel import ChannelMatrix, off_diagonal
@@ -79,13 +82,6 @@ def jacobian_certifies(
         return linalg.eliminate_columns(columns)[0] == len(columns)
     except CapExceededError:
         return False
-
-
-def certifies_every_receiver(matrix: ChannelMatrix) -> bool:
-    """True only if every receiver :func:`jacobian_certifies`, so that
-    :func:`require_independent` passes at every degree."""
-    off = [_gradient(entry) for entry in off_diagonal(matrix)]
-    return all(jacobian_certifies(matrix, i, off) for i in range(1, matrix.K + 1))
 
 
 def basis_values(matrix: ChannelMatrix, d: int):
@@ -179,71 +175,53 @@ class ConditionReport:
         return all(v.independent for v in self.verdicts)
 
 
-def check_condition_star(
-    matrix: ChannelMatrix, d: int, receiver: int
-) -> ReceiverVerdict:
-    """Decide independence of the receiver family up to degree ``d``.
+def check_all(
+    matrix: ChannelMatrix, d: int, receivers: Sequence[int] | None = None
+) -> ConditionReport:
+    """Decide condition (*) up to degree ``d`` at each of ``receivers``
+    (1-based, in the order given; every receiver when None).
 
-    An out-of-range receiver is refused before any work.  A receiver that
-    :func:`jacobian_certifies` is independent at every degree: its verdict
-    counts phi(d), at any degree, with no family built.  Any other gets the
-    per-degree check over ``basis_values(matrix, d)``.  The values' term
-    maps go to ``linalg.eliminate_columns``; its kernel of the first
-    dependent value is the certificate, and it equals the kernel vector of
-    the tests' dense Bareiss reference on the same family.
+    Each receiver is range-checked before any work.  The off-diagonal
+    gradients are taken once.  A receiver that :func:`jacobian_certifies`
+    is independent at every degree: its verdict counts phi(d), at any
+    degree, with no family built.  The basis values are built once, and
+    only when a requested receiver is left uncertified; then their refusals
+    are the per-degree check's.  That check sends the family's term maps to
+    ``linalg.eliminate_columns``; its kernel of the first dependent value
+    is the certificate, and it equals the kernel vector of the tests' dense
+    Bareiss reference on the same family.
     """
-    _require_receiver(matrix, receiver)
-    if jacobian_certifies(matrix, receiver):
-        return _certified_verdict(matrix, d, receiver)
-    return _eliminated_verdict(matrix, d, receiver, basis_values(matrix, d))
-
-
-def _eliminated_verdict(
-    matrix: ChannelMatrix, d: int, receiver: int, basis: List[AlgebraElement]
-) -> ReceiverVerdict:
-    values = _receiver_family(matrix, receiver, basis)
-    phi = len(values) // 2
-    matrix_rank, kernel = linalg.eliminate_columns([v.terms for v in values])
-    if kernel is None:
-        return ReceiverVerdict(receiver, d, True, matrix_rank, 2 * phi)
-    certificate = DependenceCertificate(
-        receiver, d, tuple(kernel[:phi]), tuple(kernel[phi:])
-    )
-    return ReceiverVerdict(receiver, d, False, matrix_rank, 2 * phi, certificate)
-
-
-def _certified_verdict(matrix: ChannelMatrix, d: int, receiver: int):
-    size = 2 * monomial_count(matrix.K * (matrix.K - 1), d)
-    return ReceiverVerdict(receiver, d, True, size, size)
-
-
-def check_all(matrix: ChannelMatrix, d: int) -> ConditionReport:
-    """Aggregate :func:`check_condition_star` over all receivers.
-
-    The off-diagonal gradients are taken once and each receiver's Jacobian
-    is decided once.  The basis values are built once, and only when some
-    receiver is left uncertified; then their refusals are the per-degree
-    check's.
-    """
-    receivers = range(1, matrix.K + 1)
+    receivers = range(1, matrix.K + 1) if receivers is None else receivers
+    for i in receivers:
+        _require_receiver(matrix, i)
     off = [_gradient(entry) for entry in off_diagonal(matrix)]
     certified = [jacobian_certifies(matrix, i, off) for i in receivers]
     basis = None if all(certified) else basis_values(matrix, d)
-    verdicts = tuple(
-        _certified_verdict(matrix, d, i) if ok
-        else _eliminated_verdict(matrix, d, i, basis)
-        for i, ok in zip(receivers, certified)
-    )
-    return ConditionReport(d, verdicts)
+    phi = monomial_count(matrix.K * (matrix.K - 1), d)
+    verdicts = []
+    for i, ok in zip(receivers, certified):
+        if ok:
+            verdicts.append(ReceiverVerdict(i, d, True, 2 * phi, 2 * phi))
+            continue
+        family = _receiver_family(matrix, i, basis)
+        rank, kernel = linalg.eliminate_columns([v.terms for v in family])
+        certificate = None if kernel is None else DependenceCertificate(
+            i, d, tuple(kernel[:phi]), tuple(kernel[phi:])
+        )
+        verdicts.append(
+            ReceiverVerdict(i, d, kernel is None, rank, 2 * phi, certificate)
+        )
+    return ConditionReport(d, tuple(verdicts))
 
 
 def require_independent(matrix: ChannelMatrix, degree: int) -> None:
     """The condition gate: raise unless every receiver family is independent.
 
     Raises :class:`ConditionNotSatisfiedError` carrying the
-    :func:`check_all` report (and so the certificate) at ``degree``.  A
-    channel whose every receiver :func:`jacobian_certifies` passes with no
-    family built, at any degree; any other is checked at ``degree`` alone.
+    :func:`check_all` report over every receiver (and so the certificate)
+    at ``degree``.  A channel whose every receiver :func:`jacobian_certifies`
+    passes with no family built, at any degree; any other is checked at
+    ``degree`` alone.
 
     ``build`` gates at d: the letters of W_N are integer combinations of the
     degree-<=d basis values, and their representation is unique (|W_N| =

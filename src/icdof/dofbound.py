@@ -812,11 +812,11 @@ def sweep(
 ) -> List[SweepCell]:
     """Grid of dof_lower_bound cells under one condition gate.
 
-    A channel that :func:`condition.certifies_every_receiver` is decided
-    once for the whole grid; any other is gated at each degree in turn, so
-    the first failing degree raises with its report.  Once a degree's
-    gate has passed, each of its cells is a
-    :func:`profile_bound`; a waived grid runs the exact path in every cell.
+    A channel whose every receiver :func:`condition.jacobian_certifies` is
+    decided once for the whole grid; any other is gated at each degree in
+    turn, so the first failing degree raises with its report.  Once a
+    degree's gate has passed, each of its cells is a :func:`profile_bound`;
+    a waived grid runs the exact path in every cell.
 
     At a fixed degree the total is not promised to increase in N: at d=0 it
     is N-invariant (0 for K >= 3), and the approach to K/2 comes from raising d.
@@ -826,7 +826,9 @@ def sweep(
 
     if not degrees or not ranges:
         raise ValueError("sweep needs at least one degree and one range")
-    settled = waive_condition or condition_mod.certifies_every_receiver(matrix)
+    settled = waive_condition or all(
+        condition_mod.jacobian_certifies(matrix, i) for i in range(1, matrix.K + 1)
+    )
     cells = []
     for d in degrees:
         if not settled:
@@ -888,15 +890,18 @@ def rational_example(
         raise ValueError(f"alphabet size N must be >= 1, got {N}")
     if len(offdiag) != K or any(len(row) != K for row in offdiag):
         raise ValueError(f"off-diagonal entries must form a {K}x{K} grid")
-    entries = [[int(v) for v in row] for row in offdiag]
+    entries = [list(row) for row in offdiag]
     h_max = 0
     for i in range(K):
         for j in range(K):
             if i != j:
-                if entries[i][j] == 0:
+                value = entries[i][j]
+                if value == 0 or value % 1:
                     raise ValueError(
-                        f"off-diagonal entry h{i + 1}{j + 1} must be nonzero"
+                        f"off-diagonal entry h{i + 1}{j + 1} must be a "
+                        f"nonzero integer, got {value!r}"
                     )
+                entries[i][j] = int(value)
                 h_max = max(h_max, abs(entries[i][j]))
     base = 2 * h_max * K * N
     contraction = Fraction(1, base**2)

@@ -278,6 +278,16 @@ class TestStructure:
         with pytest.raises(ChannelFormatError):
             integer_offdiag_channel([[0, 0], [1, 0]])
 
+    @pytest.mark.parametrize("offdiag,name", [
+        ([[0, 2.7], [1, 0]], "h12"), ([[0, 2], [1.5, 0]], "h21"),
+        ([[0, 2], [Fraction(3, 2), 0]], "h21"), ([[0, float("nan")], [1, 0]], "h12")])
+    def test_integer_offdiag_channel_refuses_non_integers(self, offdiag, name):
+        # refused, not truncated; an integral float is still an integer
+        with pytest.raises(ChannelFormatError, match=f"{name} must be a nonzero integer"):
+            integer_offdiag_channel(offdiag)
+        m = integer_offdiag_channel([[0, 2.0], [Fraction(-3), 0]])
+        assert [m.entry(1, 2).constant_value(), m.entry(2, 1).constant_value()] == [2, -3]
+
     def test_matrix_is_frozen(self):
         m = generic_channel(2)
         with pytest.raises(AttributeError):

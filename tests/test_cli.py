@@ -508,6 +508,24 @@ class TestParseIfsSpec:
         )
         assert str(spec.probs[1]) == "3/4"
 
+    def test_explicit_empty_probs_refused(self):
+        # an empty list is a law of the wrong length, not an absent one
+        with pytest.raises(ValueError, match="probability vector length"):
+            parse_ifs_spec('{"r": "1/3", "atoms": [0, 2], "probs": []}')
+
+    def test_spec_file_and_long_inline_spec(self, tmp_path, capsys):
+        # 1,000 atoms make a spec longer than any file name the OS accepts
+        doc = {"r": "1/3", "atoms": list(range(0, 2000, 2))}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        inline = json.dumps(doc)
+        assert len(inline) > 4096
+        assert parse_ifs_spec(str(path)) == parse_ifs_spec(inline)
+        assert parse_ifs_spec(inline).atoms[-1] == 1998
+        code, out, err = run(capsys, "ifs", "--spec", inline)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["n"] == 1000
+
 
 #: Characters the JSON writer must treat as string content, not layout.
 TRICKY = st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", ":", " ", "\n",

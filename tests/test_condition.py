@@ -19,7 +19,6 @@ from icdof.condition import (
     DependenceCertificate,
     basis_values,
     check_all,
-    check_condition_star,
     jacobian_certifies,
     monomial_values,
 )
@@ -285,8 +284,8 @@ class TestMonomialFamily:
         })
         monkeypatch.setattr(linalg, "_subtract", _refuse("reduction"))
         with pytest.raises(CapExceededError):
-            check_condition_star(shared, 2, 1)
-        verdict = check_condition_star(generic_channel(2), 2, 1)
+            check_all(shared, 2, [1]).verdicts[0]
+        verdict = check_all(generic_channel(2), 2, [1]).verdicts[0]
         assert verdict.independent and verdict.family_size == 12
 
     def test_multi_term_refused_before_expansion(self, monkeypatch):
@@ -390,14 +389,14 @@ class TestDependence:
             "entries": [["h11", "g"], ["2*g", "h22"]],
         }
         m = load_channel(doc)
-        verdict = check_condition_star(m, 1, 1)
+        verdict = check_all(m, 1, [1]).verdicts[0]
         assert not verdict.independent
         assert verdict.certificate.is_valid(m)
 
     def test_integer_offdiag_dependent_at_degree_one(self):
         # integer off-diagonals give rational dependences among products
         m = integer_offdiag_channel([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        verdict = check_condition_star(m, 1, 1)
+        verdict = check_all(m, 1, [1]).verdicts[0]
         assert not verdict.independent
         assert verdict.certificate.is_valid(m)
 
@@ -409,7 +408,7 @@ class TestDependence:
     def test_dependence_persists_at_higher_degree(self):
         m = rational_channel([[2, 1], [1, 3]])
         for d in (0, 1, 2):
-            verdict = check_condition_star(m, d, 1)
+            verdict = check_all(m, d, [1]).verdicts[0]
             assert not verdict.independent
             assert verdict.certificate.is_valid(m)
 
@@ -417,7 +416,7 @@ class TestDependence:
         import math
 
         m = rational_channel([[Fraction(5, 3), 2], [7, 11]])
-        cert = check_condition_star(m, 1, 2).certificate
+        cert = check_all(m, 1, [2]).verdicts[0].certificate
         coeffs = list(cert.a + cert.b)
         assert any(coeffs)
         assert math.gcd(*[abs(c) for c in coeffs]) in (0, 1)
@@ -439,7 +438,7 @@ class TestRankOracle:
         ]:
             values = monomial_values(m, d, receiver)
             rows = dense.integer_columns(values)
-            verdict = check_condition_star(m, d, receiver)
+            verdict = check_all(m, d, [receiver]).verdicts[0]
             assert verdict.rank == fraction_rank(rows)
             assert verdict.independent == (verdict.rank == len(values))
 
@@ -449,6 +448,17 @@ def _with_h(K, entry, expr):
     doc = store_channel(generic_channel(K))
     i, j = entry
     doc["entries"][i - 1][j - 1] = expr
+    return load_channel(doc)
+
+
+def _four_entry_channel():
+    """Generic K=3 with four entries replaced; the Jacobian certifies
+    receiver 2 only."""
+    doc = store_channel(generic_channel(3))
+    doc["entries"][0][0] = "-5*h13^2 - 3*h12 + 4*h33"
+    doc["entries"][1][2] = "h33^2"
+    doc["entries"][2][0] = "3*h11^2 - 4*h32^2 + 3*h12^2"
+    doc["entries"][2][1] = "-4*h32"
     return load_channel(doc)
 
 
@@ -494,7 +504,7 @@ class TestJacobianCertificate:
         for v in report.verdicts:
             assert v.rank == v.family_size == 149226
             assert v.certificate is None
-        assert check_condition_star(generic_channel(3), 16, 2) == report.verdicts[1]
+        assert check_all(generic_channel(3), 16, [2]).verdicts[0] == report.verdicts[1]
         # the gated bound at d=15 gates at d+1 = 16
         bound = dof_lower_bound(generic_channel(3), 15, 2)
         assert bound.cardinality == (2, monomial_count(6, 15))
@@ -520,12 +530,12 @@ class TestJacobianCertificate:
         assert report.independent
         assert [(v.rank, v.family_size) for v in report.verdicts] == [
             (size, size)] * 3
-        assert check_condition_star(m, d, 1) == report.verdicts[0]
+        assert check_all(m, d, [1]).verdicts[0] == report.verdicts[0]
 
     def test_refusals_before_the_certificate_are_kept(self):
         m = generic_channel(3)
         with pytest.raises(ValueError, match="receiver 4 out of range 1..3"):
-            check_condition_star(m, 1, 4)
+            check_all(m, 1, [4]).verdicts[0]
         with pytest.raises(ValueError, match="degree bound must be non-negative"):
             check_all(m, -1)
 
@@ -534,17 +544,24 @@ class TestJacobianCertificate:
         # need the per-degree check, and at d=8 their family has
         # 2 C(14, 8) = 6,006 columns, past the 4,000-column cap, for the
         # check and for the gate of the bound at d=7.
-        doc = store_channel(generic_channel(3))
-        doc["entries"][0][0] = "-5*h13^2 - 3*h12 + 4*h33"
-        doc["entries"][1][2] = "h33^2"
-        doc["entries"][2][0] = "3*h11^2 - 4*h32^2 + 3*h12^2"
-        doc["entries"][2][1] = "-4*h32"
-        m = load_channel(doc)
+        m = _four_entry_channel()
         assert [jacobian_certifies(m, i) for i in (1, 2, 3)] == [False, True, False]
         message = "^elimination columns: size 6006 exceeds cap 4000$"
         for check in (lambda: check_all(m, 8), lambda: dof_lower_bound(m, 7, 2)):
             with pytest.raises(CapExceededError, match=message):
                 check()
+
+    def test_selected_certified_receiver_answers_past_the_cap(self, monkeypatch):
+        # Receiver 2 alone is certified, so asking for it builds no family
+        # while the check over every receiver still refuses at d=8.
+        m = _four_entry_channel()
+        with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
+            check_all(m, 8)
+        monkeypatch.setattr(condition, "basis_values", _refuse("a basis"))
+        report = check_all(m, 8, [2])
+        assert [v.receiver for v in report.verdicts] == [2]
+        assert report.independent
+        assert report.verdicts[0].rank == report.verdicts[0].family_size == 6006
 
     @pytest.mark.parametrize("receiver", [0, 4])
     def test_receiver_range_checked_before_the_family(self, receiver):
@@ -552,7 +569,7 @@ class TestJacobianCertificate:
         # elimination cap first.
         m = _with_h(3, (1, 2), "h12 + h13")
         message = f"^receiver {receiver} out of range 1..3$"
-        for check in (lambda: check_condition_star(m, 9, receiver),
+        for check in (lambda: check_all(m, 9, [receiver]).verdicts[0],
                       lambda: monomial_values(m, 9, receiver)):
             with pytest.raises(ValueError, match=message):
                 check()
@@ -583,7 +600,7 @@ class TestJacobianCertificate:
             self, monkeypatch, doc, degree, independent):
         m = load_channel(doc())
         report = check_all(m, degree)
-        per_receiver = [check_condition_star(m, degree, i) for i in (1, 2, 3)]
+        per_receiver = [check_all(m, degree, [i]).verdicts[0] for i in (1, 2, 3)]
         monkeypatch.setattr(condition, "jacobian_certifies", lambda *_: False)
         assert report == check_all(m, degree)
         assert per_receiver == list(report.verdicts)

@@ -681,7 +681,7 @@ class TestSweep:
         # h11 * 1 equals the basis value h12^2.
         m = load_channel({"K": 2, "generators": ["h12", "h21", "h22"],
                           "entries": [["h12^2", "h12"], ["h21", "h22"]]})
-        assert not condition.certifies_every_receiver(m)
+        assert not all(condition.jacobian_certifies(m, i) for i in (1, 2))
         assert len(sweep(m, [0], [2])) == 1
         with pytest.raises(ConditionNotSatisfiedError) as exc:
             sweep(m, [0, 1, 2], [2])
@@ -981,6 +981,15 @@ class TestRationalExample:
     def test_rejects_bad_input(self, K, offdiag, N, err):
         with pytest.raises(err):
             rational_example(K, offdiag, N)
+
+    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), float("inf")])
+    def test_non_integer_offdiag_refused_not_truncated(self, value):
+        offdiag = [[0, value, 1], [1, 0, 1], [1, 1, 0]]
+        with pytest.raises(ValueError, match="h12 must be a nonzero integer"):
+            rational_example(3, offdiag, 4)
+        exact = rational_example(3, [[0, 3.0, 1], [1, 0, 1], [1, 1, 0]], 4)
+        assert exact == rational_example(3, [[0, 3, 1], [1, 0, 1], [1, 1, 0]], 4)
+        assert exact.h_max == 3
 
 
 class TestFig1:

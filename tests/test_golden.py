@@ -194,6 +194,18 @@ def test_payload_matches_golden(case, goldens, tmp_path):
     assert CASES[case](tmp_path) == goldens[case]
 
 
+@pytest.mark.parametrize("receiver", [1, 2, 3])
+@pytest.mark.parametrize("name,degree", [("product3", "2"), ("multi3", "3")])
+def test_single_receiver_check_is_its_entry_of_the_full_check(
+        name, degree, receiver, tmp_path):
+    full = _report(tmp_path, "check", name, "--degree", degree)
+    entry = full["receivers"][receiver - 1]
+    single = _report(tmp_path, "check", name, "--degree", degree,
+                     "--receiver", str(receiver))
+    assert single == {"degree": int(degree), "independent": entry["independent"],
+                      "receivers": [entry]}
+
+
 def capture() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {case: CASES[case](Path(tmp)) for case in sorted(CASES)}

@@ -22,7 +22,6 @@ from icdof.channel import ChannelMatrix, load_channel
 from icdof.condition import (
     basis_values,
     check_all,
-    check_condition_star,
     jacobian_certifies,
     monomial_values,
 )
@@ -142,7 +141,7 @@ class TestStructuralIndependence:
         values = monomial_values(matrix, d, receiver)
         rows = dense.integer_columns(values)
         rank = len(dense.bareiss_echelon(rows)[1]) if rows else 0
-        verdict = check_condition_star(matrix, d, receiver)
+        verdict = check_all(matrix, d, [receiver]).verdicts[0]
         assert verdict.rank == rank
         assert verdict.independent == (rank == len(values))
         assert verdict.family_size == len(values)
@@ -159,7 +158,7 @@ class TestStructuralIndependence:
         _, matrix, d, _ = case
         report = check_all(matrix, d)
         assert report.verdicts == tuple(
-            check_condition_star(matrix, d, i) for i in range(1, matrix.K + 1)
+            check_all(matrix, d, [i]).verdicts[0] for i in range(1, matrix.K + 1)
         )
 
 
