@@ -6,15 +6,12 @@ the received sums (full and interference-only) of independent uniform
 letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
 
-W_N is enumerated only when its letters are needed.  When the basis values
-are independent over Q (decided by ``linalg.eliminate_columns``, on sight
-for the generic channel), |W_N| = N^phi and the letters stay unenumerated
-until something iterates over them; the coordinate decomposition below
-never does.  Only a dependent basis is enumerated to be sized.  The support
-cap ``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized:
-before enumerating the N^phi letter combinations, while convolving a
-sumset, and before allocating a dense scaled-uniform law.  So the size of a
-lazy W_N is not capped at all.
+W_N is enumerated only when its letters are needed: independent basis
+values (``linalg.eliminate_columns``) give |W_N| = N^phi unenumerated, and
+the coordinate decomposition below never iterates them.  The support cap
+``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized (the
+N^phi letter combinations, a sumset, a dense scaled-uniform law), so the
+size of a lazy W_N is not capped at all.
 
 A gated call (condition (*) passed at degree d+1) takes its bound from
 the multiplicity profile of (K, d) alone, by :func:`profile_bound`.  It is
@@ -25,19 +22,17 @@ desired coordinates are separate.  A waived call runs the exact
 per-channel path below, the only path for a dependent channel and the
 oracle the tests hold the profile to.
 
-The exact path computes entropies either by exact convolution of integer
-codes (each addend h_ij w is packed into one integer, mixed radix over its
-scaled monomial coordinates, injectively on every partial sum, so numpy
-adds the codes and merges equal ones), or (when the entries and basis
-values are single terms and W_N has a unique representation) by an exact
-coordinate decomposition: each monomial coordinate of the received sum is
-a sum of independent scaled uniforms drawn from disjoint letter
-coefficients, so the coordinates are independent and the entropy is the
-sum of small one-dimensional convolution entropies.  The two routes agree
-exactly and are cross-checked in the tests.  Every sum of scaled uniforms,
-in the profile, the exact path and the rational example class, goes
-through one integer kernel, ``_convolve_scaled_uniform``, which refuses a
-dense law wider than the support cap before allocating it.
+The exact path convolves integer codes (each addend h_ij w packed into one
+integer, mixed radix over its scaled monomial coordinates, injective on
+every partial sum, so numpy adds codes and merges equal ones), or, for
+single-term entries and basis values and a unique representation, sums
+coordinate entropies: each monomial coordinate of the received sum is a
+sum of independent scaled uniforms over disjoint letter coefficients.  The
+tests cross-check the two.  Every sum of scaled uniforms (the profile, the
+exact path, the rational example) is read by ``_scaled_uniform_law`` from
+one integer kernel, which refuses a law past the support cap before
+allocating it.  Only the law and its half's (value, multiplicity) pairs
+are held; libm logs of the pairs, folded from the left, keep every bit.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
 for the bound and the sweep.  Containment is one independence test of the
@@ -78,6 +73,9 @@ DEFAULT_SUPPORT_CAP = 10**7
 #: Codes and counts below this are int64; past it they are Python ints.
 _INT64_LIMIT = 2**62
 
+#: Distinct counts made Python ints at once for their logs.
+_BLOCK = 1 << 16
+
 #: Per-run caveat attached to reports: the dimension formula is evaluated at
 #: r_N itself, assuming the parameter is not in the exceptional set.
 NON_EXCEPTIONAL_NOTE = (
@@ -86,41 +84,52 @@ NON_EXCEPTIONAL_NOTE = (
 )
 
 
-def entropy_from_counts(counts, total) -> float:
-    """Shannon entropy in bits of a distribution given by integer counts.
+def _groups(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Increasing (value, multiplicity) runs of a sorted array's positives."""
+    ordered = ordered[ordered.searchsorted(0, side="right"):]
+    edge = np.ones(len(ordered) + 1, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    return ordered[edges[:-1]], edges[1:] - edges[:-1]
 
-    Counts are grouped by value so uniform-heavy distributions lose no
-    precision to long floating sums.  ``np.unique`` gives the (value,
-    multiplicity) pairs in increasing order, of an ndarray as it is and of
-    any other input (a list, ``dict_values``) as an object array of its
-    Python ints; numpy would read a list mixing ints below and above 2^63
-    as float64.  The result is the same bit for bit as the per-pair loop
-    ``acc += group * value * math.log2(value)`` over those pairs:
 
-    - ``group * value`` is an exact integer, rounded once to float64 as
-      Python's int-times-float rounds it.  It is taken in int64 where no
-      product can overflow, and in Python ints (an object array) for every
-      other dtype or size, so counts of 2^63 and more stay exact;
-    - each log is ``math.log2`` of the Python int, never ``np.log2``, whose
-      vectorised log2 differs from libm's in the last bit on some integers;
-    - ``np.add.accumulate`` adds the terms in order from the left, as the
-      loop does, where ``np.sum`` would add them pairwise.
+def _entropy_of_groups(values, groups, total) -> float:
+    """Entropy from increasing (value v > 0, multiplicity g) pairs, the same
+    bits as the loop ``acc += g * v * math.log2(v)``:
 
-    Counts that are not positive are skipped.
+    - g v is an exact integer (int64 where no product overflows, else
+      Python ints), rounded once to float64 as int-times-float rounds it;
+    - each log is ``math.log2`` of the Python int, not ``np.log2``, which
+      differs from libm's in the last bit on some integers.  Values become
+      Python ints ``_BLOCK`` at a time, not in one list;
+    - ``np.add.accumulate`` folds from the left.
     """
-    if not isinstance(counts, np.ndarray):
-        counts = np.array(list(counts), dtype=object)
-    values, groups = np.unique(counts, return_counts=True)
-    first = values.searchsorted(0, side="right")
-    values, groups = values[first:], groups[first:]
     if values.dtype != np.int64 or (
         len(values) and groups.max() > (2**63 - 1) // values[-1]
     ):
         values = values.astype(object)
-    logs = np.fromiter(map(math.log2, values.tolist()), np.float64, len(values))
-    terms = (groups * values).astype(np.float64) * logs
+    logs = np.empty(len(values))
+    for i in range(0, len(values), _BLOCK):
+        block = values[i:i + _BLOCK].tolist()
+        logs[i:i + len(block)] = np.fromiter(map(math.log2, block), float, len(block))
+    terms = (groups * values).astype(np.float64)
+    terms *= logs
     acc = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
     return math.log2(total) - acc / total
+
+
+def entropy_from_counts(counts, total) -> float:
+    """Shannon entropy in bits of a distribution given by integer counts.
+
+    Counts are grouped by value, so uniform-heavy laws lose no precision to
+    long float sums: runs of a sorted copy, of an ndarray as it is, else (a
+    list, ``dict_values``) of an object array of its ints, as numpy reads
+    ints below and above 2^63 together as float64.  Counts below 1 are
+    skipped.
+    """
+    if not isinstance(counts, np.ndarray):
+        counts = np.array(list(counts), dtype=object)
+    return _entropy_of_groups(*_groups(np.sort(counts)), total)
 
 
 # -- alphabet construction -------------------------------------------------
@@ -458,29 +467,20 @@ def _coordinate_layout(
     return layout
 
 
-def _window_sum(arr: np.ndarray, width: int) -> np.ndarray:
-    """Sliding sums of ``width`` consecutive entries, full overlap-extended.
-
-    Entry t is c[min(t + 1, n)] - c[max(t + 1 - width, 0)] with c the
-    cumulative sum from 0; padding c with ``width`` zeros in front and
-    ``width - 1`` copies of its last entry behind makes both ends two slices.
-    """
-    c = np.cumsum(arr)
-    padded = np.concatenate([np.zeros(width, c.dtype), c, np.full(width - 1, c[-1])])
-    return padded[width:] - padded[:-width]
-
-
 def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
-    """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t positive ints.
+    """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t integers.
 
-    ``counts[k]`` is the number of tuples whose sum is k.  The dense width
-    1 + (N-1) sum_t c_t is checked against the support cap, and the total
-    N^T against what int64 counts hold, before anything is allocated.  Adding
-    c U to a law is, on each residue class q mod c, a sliding window sum of
-    N entries, written back through the strided slice ``out[q::c]``.  Every
-    step is integer arithmetic on counts of at most 2^62, so the counts are
-    exact, and so is the entropy read from them.
+    ``counts[k]`` tallies the tuples summing to k.  A c_t or N below 1, a
+    width 1 + (N-1) sum_t c_t past the support cap and N^T past int64 are
+    refused before any allocation.  Adding c U is, on each class q mod c, a
+    window sum of N entries written into ``out[q::c]``: the class's
+    cumulative sums cs, then cs[-1], less cs[:-1] from entry N on.  Only two
+    laws and one cs are held.  Counts are ints of at most 2^62, so exact.
     """
+    if min(coeffs, default=1) < 1:
+        raise ValueError(f"scaled-uniform coefficients must be >= 1, got {min(coeffs)}")
+    if N < 1:
+        raise ValueError(f"coefficient range N must be >= 1, got {N}")
     width = 1 + (N - 1) * sum(coeffs)
     if width > DEFAULT_SUPPORT_CAP:
         raise CapExceededError("scaled-uniform sum width", width, DEFAULT_SUPPORT_CAP)
@@ -492,7 +492,11 @@ def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
     for s in coeffs:
         out = np.zeros(len(counts) + s * (N - 1), dtype=np.int64)
         for q in range(min(s, len(counts))):
-            out[q::s] = _window_sum(counts[q::s], N)
+            cs = np.cumsum(counts[q::s])
+            dst = out[q::s]
+            dst[:len(cs)] = cs
+            dst[len(cs):] = cs[-1]
+            dst[N:] -= cs[:-1]
         counts = out
     return counts
 
@@ -501,12 +505,10 @@ def _signature(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
     """Sorted |c_t| of the coefficients rescaled to coprime integers.
 
     The law of sum_t c_t U_t, U_t i.i.d. uniform on N consecutive integers,
-    depends on the c_t only up to this signature: rescaling every c_t by
-    lcm(denominators) / gcd(numerators) is a bijection of the values, U_t
-    and (N-1) - U_t have the same law on {0..N-1}, so flipping the sign of
-    c_t only shifts the sum, and reordering the addends changes nothing.  None of
-    these changes the multiset of counts, so the entropy and the support
-    size of the law are read off the signature.
+    depends on the c_t only up to this: rescaling by lcm(denominators) /
+    gcd(numerators) is a bijection of the values, U_t -> (N-1) - U_t flips a
+    sign up to a shift, and the addends commute.  So the multiset of counts,
+    hence the entropy and the support size, is the signature's.
     """
     denominator = math.lcm(*(c.denominator for c in coeffs))
     numerators = [c.numerator * (denominator // c.denominator) for c in coeffs]
@@ -515,10 +517,25 @@ def _signature(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
 
 
 def _scaled_uniform_law(signature: Tuple[int, ...], N: int) -> Tuple[float, int]:
-    """(entropy in bits, support size) of sum_t c_t U_t for a signature."""
+    """(entropy in bits, support size) of sum_t c_t U_t for a signature.
+
+    The law is a palindrome (U_t -> N-1-U_t maps k to width-1-k): its
+    first half, sorted in place, is grouped and each multiplicity doubled,
+    an odd width's middle count once: the whole law's pairs, so the bits
+    are ``entropy_from_counts``'s.  The law is freed before logs.
+    """
     counts = _convolve_scaled_uniform(signature, N)
-    nonzero = counts[counts > 0]
-    return entropy_from_counts(nonzero, N ** len(signature)), len(nonzero)
+    width = len(counts)
+    middle = counts[width // 2]
+    half = counts[:(width + 1) // 2]
+    half.sort()
+    values, groups = _groups(half)
+    del counts, half
+    groups *= 2
+    if width % 2 and middle > 0:
+        groups[values.searchsorted(middle)] -= 1
+    return (_entropy_of_groups(values, groups, N ** len(signature)),
+            int(groups.sum()))
 
 
 def sum_entropy_stats(
@@ -531,11 +548,9 @@ def sum_entropy_stats(
 
     Uses the coordinate decomposition when eligible, else materializes the
     exact convolution (subject to the support cap).  A coordinate
-    sum_t c_t U_t with U_t uniform on {1..N} is a shift of the same sum over
-    {0..N-1}, whose entropy and support depend only on its
-    :func:`_signature`, so the integer kernel runs once per distinct
-    signature in the call.  The per-coordinate entropies are added in
-    monomial order.
+    sum_t c_t U_t, U_t uniform on {1..N}, shifts the sum over {0..N-1}, so
+    its law is read once per distinct :func:`_signature` in the call.  The
+    per-coordinate entropies are added in monomial order.
     """
     layout = _coordinate_layout(matrix, receiver, include_diagonal, construction)
     if layout is None:
@@ -878,11 +893,11 @@ def rational_example(
     factor entropies.  The closed-form bound K log2 N / (2 log2(2 h_max K N))
     is reported alongside the exactly computed total.  Receivers whose
     interference coefficients have the same sorted |h_ij| share one law
-    (a sign flip reflects U onto N-1-U and shifts the sum; see
-    :func:`_signature`), so the kernel runs once per distinct one.  It runs
+    (see :func:`_signature`), so the kernel runs once per distinct one.  It runs
     on the coefficients as given, not rescaled, so the width cap applies to
-    the law the report describes.  The interference support of receiver i spans (N-1) times the
-    sums of its negative and of its positive coefficients.
+    the law the report describes.  The interference support of receiver i
+    spans (N-1) times the sums of its negative and of its positive
+    coefficients.
     """
     if K < 2:
         raise ValueError(f"need K >= 2 users, got K={K}")

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -118,10 +119,14 @@ SMALL_COUNTS = st.lists(st.integers(0, 12) | st.integers(0, 2**40), max_size=60)
 def count_inputs(draw):
     """(counts in one of the accepted input forms, total)."""
     counts = draw(SMALL_COUNTS | st.lists(st.integers(2**62, 2**64 - 1), max_size=6)
-                  | st.lists(st.integers(0, 2**64 - 1), max_size=12))
+                  | st.lists(st.integers(0, 2**64 - 1), max_size=12)
+                  # int64 values past 2^53, whose g * v may leave int64
+                  | st.lists(st.integers(2**53, 2**63 - 1), max_size=12)
+                  # zero and negative counts, which are skipped
+                  | st.lists(st.integers(-(2**63), 12), max_size=30))
     total = max(1, sum(counts))
     kinds = ["list", "dict_values", "object"]
-    if all(c < 2**63 for c in counts):
+    if all(-(2**63) <= c < 2**63 for c in counts):
         kinds.append("int64")
     kind = draw(st.sampled_from(kinds))
     if kind == "int64":
@@ -130,6 +135,32 @@ def count_inputs(draw):
         return np.array(counts, dtype=object), total
     if kind == "dict_values":
         return dict(enumerate(counts)).values(), total
+    return counts, total
+
+
+@st.composite
+def wide_count_inputs(draw):
+    """(counts, total) with more distinct values than one log block holds."""
+    distinct = draw(st.integers(dofbound._BLOCK + 1, dofbound._BLOCK + 500))
+    base = draw(st.sampled_from([1, 2**53 - 3, 2**61, 2**63 + 1]))
+    step = draw(st.integers(1, 2**10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Python ints first, so no base or step wraps in int64
+    values = base + step * np.arange(distinct, dtype=object)
+    counts = np.repeat(values, rng.integers(1, 4, distinct))
+    rng.shuffle(counts)
+    counts[:draw(st.integers(0, 3))] = draw(st.sampled_from([0, -1]))
+    total = max(1, int(counts.sum()))
+    kinds = ["object", "list", "dict_values"]
+    if counts.max() < 2**63:
+        kinds.append("int64")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int64":
+        return counts.astype(np.int64), total
+    if kind == "list":
+        return counts.tolist(), total
+    if kind == "dict_values":
+        return dict(enumerate(counts.tolist())).values(), total
     return counts, total
 
 
@@ -155,6 +186,12 @@ class TestEntropyMatchesPairLoop:
         counts, total = case
         assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
 
+    @settings(max_examples=12, deadline=None)
+    @given(wide_count_inputs())
+    def test_equal_to_pair_loop_across_log_blocks(self, case):
+        counts, total = case
+        assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
+
     @pytest.mark.parametrize("value", LOG2_DISAGREEMENTS)
     def test_log2_disagreement_values(self, value):
         # pairs (1, 1) and (value, 2): the only nonzero log is log2(value)
@@ -170,7 +207,12 @@ class TestEntropyMatchesPairLoop:
 
 class TestScaledUniformKernel:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 7))
+    @given(st.lists(st.integers(1, 6) | st.integers(7, 40), min_size=1, max_size=4),
+           st.integers(1, 7))
+    # coefficients larger than the running width leave residue classes empty
+    @example([5], 1)
+    @example([9, 1], 2)
+    @example([3, 40, 2], 3)
     def test_equals_tuple_enumeration(self, coeffs, N):
         counts = dofbound._convolve_scaled_uniform(coeffs, N)
         width = 1 + (N - 1) * sum(coeffs)
@@ -182,6 +224,45 @@ class TestScaledUniformKernel:
         assert counts.tolist() == [tally[k] for k in range(width)]
         # u -> N-1-u maps a sum k to width-1-k
         assert counts.tolist() == counts[::-1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=4), st.integers(1, 9))
+    # even widths (4, 10) and odd widths (1, 3 with a zero middle, 7)
+    @example([1], 4)
+    @example([1, 2], 4)
+    @example([], 5)
+    @example([2], 2)
+    @example([1, 2], 3)
+    def test_law_equals_whole_law_pairs(self, coeffs, N):
+        # The law is read from its first half; it must give the pairs, and
+        # so the bits, of the whole law.
+        counts = dofbound._convolve_scaled_uniform(coeffs, N)
+        want = (entropy_by_pairs(counts, N ** len(coeffs)), int((counts > 0).sum()))
+        assert dofbound._scaled_uniform_law(tuple(coeffs), N) == want
+
+    @pytest.mark.parametrize("coeffs, N, name", [
+        ((0,), 5, "coefficients must be >= 1, got 0"),
+        ((2, -1), 5, "coefficients must be >= 1, got -1"),
+        ((1,), 0, "N must be >= 1, got 0"),
+        ((1, 1), -3, "N must be >= 1, got -3"),
+    ])
+    def test_refuses_what_it_cannot_count(self, coeffs, N, name):
+        with pytest.raises(ValueError, match=name):
+            dofbound._convolve_scaled_uniform(coeffs, N)
+        with pytest.raises(ValueError, match=name):
+            dofbound._scaled_uniform_law(coeffs, N)
+
+    def test_benchmark_law_memory(self):
+        # The rational example's law at N = 2^19: 1,048,575 counts, 524,288
+        # distinct.  The law, its half-law pairs and one block of Python ints
+        # peak at 22.5 MiB; a list of all 524,288 as ints takes about 20 MiB.
+        tracemalloc.start()
+        try:
+            dofbound._scaled_uniform_law((1, 1), 2**19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestBuildWN:
