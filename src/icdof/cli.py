@@ -202,6 +202,8 @@ def parse_ifs_spec(text: str) -> IFSSpec:
 
     A spec is a JSON object, so text that opens with ``{`` is read as one
     and never handed to the file system, where a long spec is no valid name.
+    ``atoms`` and ``probs`` must be JSON arrays without booleans: a string or
+    an object would be iterated by character or key, and ``true`` read as 1.
     """
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
@@ -212,6 +214,10 @@ def parse_ifs_spec(text: str) -> IFSSpec:
             'IFS spec must be an object with "r" and "atoms" (optional "probs")'
         )
     probs = doc.get("probs")
+    arrays = {"atoms": doc["atoms"], "probs": [] if probs is None else probs}
+    for name, values in arrays.items():
+        if not isinstance(values, list) or any(isinstance(v, bool) for v in values):
+            raise ValueError(f'IFS spec "{name}" must be a JSON array of numbers')
     try:
         r = _parse_ifs_value(doc["r"])
         atoms = tuple(_parse_ifs_value(a) for a in doc["atoms"])

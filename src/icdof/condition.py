@@ -109,15 +109,32 @@ def basis_values(matrix: ChannelMatrix, d: int):
     return values
 
 
+def basis_independent(
+    matrix: ChannelMatrix, d: int, basis: Sequence[AlgebraElement] | None = None
+) -> bool:
+    """Whether the degree-<=d basis values are independent over Q, so that
+    |W_N| = N^phi(d): at once when :func:`jacobian_certifies` the
+    off-diagonal entries (distinct monomials in algebraically independent
+    elements are linearly independent), else by the rank of the values of
+    :func:`basis_values` at ``d`` (``basis`` when the caller holds them).
+    """
+    if jacobian_certifies(matrix):
+        return True
+    if basis is None:
+        basis = basis_values(matrix, d)
+    return linalg.eliminate_columns([f.terms for f in basis])[1] is None
+
+
 def monomial_values(
     matrix: ChannelMatrix, d: int, receiver: int
 ) -> List[AlgebraElement]:
     """The length-2*phi(d) family for one receiver (1-based index)."""
-    _require_receiver(matrix, receiver)
+    require_receiver(matrix, receiver)
     return _receiver_family(matrix, receiver, basis_values(matrix, d))
 
 
-def _require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
+def require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
+    """Refuse a receiver index outside 1..K."""
     if not 1 <= receiver <= matrix.K:
         raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
 
@@ -193,7 +210,7 @@ def check_all(
     """
     receivers = range(1, matrix.K + 1) if receivers is None else receivers
     for i in receivers:
-        _require_receiver(matrix, i)
+        require_receiver(matrix, i)
     off = [_gradient(entry) for entry in off_diagonal(matrix)]
     certified = [jacobian_certifies(matrix, i, off) for i in receivers]
     basis = None if all(certified) else basis_values(matrix, d)

@@ -7,11 +7,11 @@ letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
 
 W_N is enumerated only when its letters are needed: independent basis
-values (``linalg.eliminate_columns``) give |W_N| = N^phi unenumerated, and
-the coordinate decomposition below never iterates them.  The support cap
-``DEFAULT_SUPPORT_CAP`` is checked where a support is materialized (the
-N^phi letter combinations, a sumset, a dense scaled-uniform law), so the
-size of a lazy W_N is not capped at all.
+values (:func:`condition.basis_independent`) give |W_N| = N^phi
+unenumerated, and the coordinate decomposition below never reads them.
+The support cap ``DEFAULT_SUPPORT_CAP`` is checked where a support is
+materialized (the N^phi letter combinations, a sumset, a dense
+scaled-uniform law), so the size of a lazy W_N is not capped at all.
 
 A gated call (condition (*) passed at degree d+1) takes its bound from
 the multiplicity profile of (K, d) alone, by :func:`profile_bound`.  It is
@@ -35,9 +35,8 @@ allocating it.  Only the law and its half's (value, multiplicity) pairs
 are held; libm logs of the pairs, folded from the left, keep every bit.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment is one independence test of the
-degree-(d+1) basis values (the Jacobian certificate of the off-diagonal
-entries, else their rank); once they are independent, the argument of
+for the bound and the sweep.  Containment is W_N's independence test, of
+the degree-(d+1) basis values; once they are independent, the argument of
 :func:`profile_bound` places the support in the degree-(d+1) lattice box
 and gives its size from the multiplicity profile.  It reads no support
 element, builds no W_N and computes no sum law.
@@ -50,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .algebra import (
 from .channel import ChannelMatrix, fully_connected
 from .errors import CapExceededError
 from . import condition as condition_mod
-from . import linalg
 from .ifs import IFSSpec
 
 #: Cap on materialized support sizes (alphabets and sum supports).
@@ -148,42 +146,20 @@ class Power(NamedTuple):
         return 2.0 * self.exponent * math.log2(self.base)
 
 
-class Letters:
-    """The letters of W_N: sized at once, enumerated on first iteration.
-
-    ``len`` is the cardinality, multiplied out only when asked for.  The
-    first iteration runs the enumeration once and caches it, so every
-    iteration sees the letters in the same order as an eager enumeration of
-    the same basis.
-    """
-
-    __slots__ = ("_size", "_enumerate", "_items")
-
-    def __init__(
-        self, size: Power, enumerate_letters: Callable[[], Tuple[AlgebraElement, ...]]
-    ):
-        self._size = size
-        self._enumerate = enumerate_letters
-        self._items: Tuple[AlgebraElement, ...] | None = None
-
-    def __len__(self) -> int:
-        return self._size.base ** self._size.exponent
-
-    def __iter__(self) -> Iterator[AlgebraElement]:
-        if self._items is None:
-            self._items = self._enumerate()
-        return iter(self._items)
-
-
 @dataclass(frozen=True)
 class InputConstruction:
-    """The alphabet W_N together with its construction metadata."""
+    """The alphabet W_N together with its construction metadata; ``letters``
+    is ``functools.cache``d, so every read of ``elements`` is one tuple."""
 
     degree: int
     coeff_range: int
     basis: Tuple[AlgebraElement, ...]
-    elements: Letters
     size: Power
+    letters: Callable[[], Tuple[AlgebraElement, ...]]
+
+    @property
+    def elements(self) -> Tuple[AlgebraElement, ...]:
+        return self.letters()
 
     @property
     def cardinality(self) -> int:
@@ -227,28 +203,28 @@ def _enumerate_letters(
 def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     """W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup.
 
-    When the basis values are independent over Q (``linalg.eliminate_columns``
-    has full rank), distinct coefficient vectors (a_1, ..., a_phi) give
+    When the basis values are independent over Q
+    (:func:`condition.basis_independent`: the Jacobian certificate, else
+    their rank), distinct coefficient vectors (a_1, ..., a_phi) give
     distinct letters, so |W_N| = N^phi and the representation is unique,
-    with nothing enumerated.  N = 1 needs no rank: W_N is one letter.  The
-    letters are enumerated on first iteration, and only then is N^phi
-    checked against the support cap.  A dependent basis is enumerated here,
-    so its N^phi is capped at once, and deduplicated exactly; its size is
-    (|W_N|, 1) when letters collide.
+    with nothing enumerated.  N = 1 needs no test: W_N is one letter.  The
+    letters are enumerated on the first read of ``elements``, and only then
+    is N^phi checked against the support cap.  A dependent basis is
+    enumerated here, so its N^phi is capped at once, and deduplicated
+    exactly; its size is (|W_N|, 1) when letters collide.
     """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
     basis = tuple(condition_mod.basis_values(matrix, d))
     size = Power(N, len(basis))
-    enumerate_ = functools.partial(
+    letters = functools.cache(functools.partial(
         _enumerate_letters, basis, N, len(matrix.generators)
-    )
-    if N > 1 and linalg.eliminate_columns([f.terms for f in basis])[1] is not None:
-        items = enumerate_()
-        if len(items) < N ** len(basis):
-            size = Power(len(items), 1)
-        enumerate_ = functools.partial(tuple, items)
-    return InputConstruction(d, N, basis, Letters(size, enumerate_), size)
+    ))
+    if N > 1 and not condition_mod.basis_independent(matrix, d, basis):
+        count = len(letters())
+        if count < N ** len(basis):
+            size = Power(count, 1)
+    return InputConstruction(d, N, basis, size, letters)
 
 
 def to_ifs(construction: InputConstruction, valuation: Sequence[float]) -> IFSSpec:
@@ -304,8 +280,7 @@ class SumsetDistribution:
 
 
 def _participants(matrix: ChannelMatrix, receiver: int, include_diagonal: bool):
-    if not 1 <= receiver <= matrix.K:
-        raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
+    condition_mod.require_receiver(matrix, receiver)
     return [
         j
         for j in range(1, matrix.K + 1)
@@ -603,36 +578,32 @@ def containment_check(
     coefficients are admitted; the reported container cardinality is the
     representation-count bound ((K-1)N)^phi(d+1).)
 
-    The one check is the independence of the degree-(d+1) basis values:
-    :func:`condition.jacobian_certifies` on the off-diagonal entries alone,
-    and only when that fails the rank of the values themselves (by
-    ``linalg.eliminate_columns`` over their term maps; a dependent basis
-    raises ``ValueError``).  A certified channel builds no value, yet
-    phi(d+1) still meets the monomial cap: both sizes are returned as ints
-    (the benchmark compares ``support_size`` to one), and the cap bounds
-    the ((K-1)N)^phi(d+1) written out.  Once the values are
-    independent, the argument in :func:`profile_bound` shows each support
-    element is sum_beta c_beta f_beta, c_beta the sum of the a's of the
-    t_beta interferers reaching beta, so an integer in [0, (K-1)N], and
-    that this is its only representation: ``contained`` is True whenever
-    this answers.  The same argument gives the support size,
-    prod_t (t(N-1) + 1)^n_t over :func:`multiplicity_profile`, so no W_N
-    and no sum law is built.
+    The one check is :func:`condition.basis_independent` at d+1, the test
+    :func:`build_w_n` runs at d: the Jacobian certificate of the
+    off-diagonal entries, and only when that fails the rank of the values
+    themselves (a dependent basis raises ``ValueError``).  A certified
+    channel builds no value, yet phi(d+1) still meets the monomial cap:
+    both sizes are returned as ints (the benchmark compares
+    ``support_size`` to one), and the cap bounds the ((K-1)N)^phi(d+1)
+    written out.  Once the values are independent, the argument in
+    :func:`profile_bound` shows each support element is sum_beta c_beta
+    f_beta, c_beta the sum of the a's of the t_beta interferers reaching
+    beta, so an integer in [0, (K-1)N], and that this is its only
+    representation: ``contained`` is True whenever this answers.  The
+    same argument gives the support size, prod_t (t(N-1) + 1)^n_t over
+    :func:`multiplicity_profile`, so no W_N and no sum law is built.
     """
     if not fully_connected(matrix):
         raise ValueError("containment check refused: channel is not fully connected")
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
     profile = multiplicity_profile(matrix.K, d)  # refuses d < 0
-    if not 1 <= receiver <= matrix.K:
-        raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
-    if not condition_mod.jacobian_certifies(matrix):
-        basis_next = condition_mod.basis_values(matrix, d + 1)
-        if linalg.eliminate_columns([v.terms for v in basis_next])[1] is not None:
-            raise ValueError(
-                "basis values are rationally dependent; representation "
-                "extraction is ambiguous for this channel"
-            )
+    condition_mod.require_receiver(matrix, receiver)
+    if not condition_mod.basis_independent(matrix, d + 1):
+        raise ValueError(
+            "basis values are rationally dependent; representation "
+            "extraction is ambiguous for this channel"
+        )
     phi_next = capped_monomial_count(matrix.K * (matrix.K - 1), d + 1)
     support = math.prod((t * (N - 1) + 1) ** n for t, n in profile.items())
     return ContainmentResult(True, ((matrix.K - 1) * N) ** phi_next, support)

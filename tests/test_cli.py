@@ -450,6 +450,24 @@ class TestIfsSubcommand:
         assert code == 1
         assert "malformed number" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("spec,name", [
+        ('{"r": "1/3", "atoms": "02"}', "atoms"),
+        ('{"r": "1/3", "atoms": {"0": 1, "2": 1}}', "atoms"),
+        ('{"r": "1/3", "atoms": [false, true]}', "atoms"),
+        ('{"r": "1/3", "atoms": null}', "atoms"),
+        ('{"r": "1/3", "atoms": [0, 2], "probs": "11"}', "probs"),
+        ('{"r": "1/3", "atoms": [0, 2], "probs": {"1/2": 0, "1/3": 0}}', "probs"),
+        ('{"r": "1/3", "atoms": [0, 2], "probs": [true, false]}', "probs"),
+    ], ids=["atoms-string", "atoms-object", "atoms-bool", "atoms-null",
+            "probs-string", "probs-object", "probs-bool"])
+    @pytest.mark.parametrize("command", ["ifs", "estimate"])
+    def test_non_array_or_boolean_entries_refused(self, capsys, command, spec, name):
+        code, out, err = run(capsys, command, "--spec", spec)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == (
+            f'ValueError: IFS spec "{name}" must be a JSON array of numbers'
+        )
+
     @pytest.mark.parametrize("flag", ["--overlap-depth", "--sample"])
     def test_explicit_zero_refused(self, capsys, tmp_path, flag):
         code, out, err = run(

@@ -317,7 +317,7 @@ class TestBuildWN:
 
         monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
         c = build_w_n(generic_channel(3), 1, 4)
-        assert len(c.elements) == c.cardinality == 16384
+        assert c.cardinality == 16384
         assert c.unique_representation
         report = dof_lower_bound(generic_channel(3), 1, 4)
         assert report.total == 0.1440386719039749
@@ -325,17 +325,27 @@ class TestBuildWN:
             next(iter(c.elements))
 
     def test_independent_multi_term_basis_not_enumerated(self, monkeypatch):
-        # h12 = h12 + h13 makes the basis multi-term; it is still
-        # independent, so |W_N| = 3^28 is read off its rank.
+        # h12 = h12 + h13 makes the basis multi-term; the Jacobian of the six
+        # off-diagonal entries still certifies it, so |W_N| = 3^28 with
+        # neither the letters nor the 28 basis columns reduced.
         def refuse(*args):
             raise AssertionError("W_N was enumerated")
 
+        widths = []
+        eliminate = linalg.eliminate_columns
+
+        def recorded(columns):
+            widths.append(len(columns))
+            return eliminate(columns)
+
         monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
+        monkeypatch.setattr(linalg, "eliminate_columns", recorded)
         doc = store_channel(generic_channel(3))
         doc["entries"][0][1] = "h12 + h13"
         c = build_w_n(load_channel(doc), 2, 3)
         assert c.cardinality == 3**28
         assert c.unique_representation
+        assert widths == [6]
 
     def test_one_letter_needs_no_rank(self, monkeypatch):
         # The colliding basis {1, g, g} is wider than the lowered cap, which

@@ -123,6 +123,20 @@ class TestLazyWN:
         assert list(c.elements) == list(eager)  # the cached second pass
         assert set(c.elements) == enumerated_letters(matrix, c.basis, N)
 
+    @settings(max_examples=60, deadline=None)
+    @given(w_n_cases())
+    def test_jacobian_shortcut_matches_rank(self, case):
+        # A basis the Jacobian certifies is sized as its rank would size it,
+        # with the same letters in the same order.
+        _, matrix, d, N = case
+        event(f"certified: {jacobian_certifies(matrix)}")
+
+        def built(*args):
+            c = build_w_n(*args)
+            return c.size, c.unique_representation, c.elements
+
+        assert built(matrix, d, N) == uncertified(built, matrix, d, N)
+
 
 @st.composite
 def condition_cases(draw):
