@@ -99,10 +99,15 @@ def required_depth(spec: IFSSpec, k_max: int) -> int:
 
 
 def aligned_k_grid(spec: IFSSpec, k_min: int, k_max: int) -> list[int]:
-    """Quantization levels at powers of 1/r within [k_min, k_max]."""
+    """Quantization levels at powers of 1/r within [k_min, k_max].
+
+    A rational r keeps 1/r a ``Fraction``, so every power is exact before
+    it is rounded; float powers are not exact past 2^53.  A float r keeps
+    float powers.
+    """
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
-    inv_r = 1.0 / float(spec.r)
+    inv_r = 1 / spec.r
     grid = []
     j = 1
     while True:
@@ -114,7 +119,7 @@ def aligned_k_grid(spec: IFSSpec, k_min: int, k_max: int) -> list[int]:
         j += 1
     if not grid:
         raise ValueError(
-            f"no power of 1/r = {inv_r:.4g} falls in [{k_min}, {k_max}]"
+            f"no power of 1/r = {float(inv_r):.4g} falls in [{k_min}, {k_max}]"
         )
     return grid
 

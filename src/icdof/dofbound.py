@@ -31,8 +31,11 @@ sum of independent scaled uniforms over disjoint letter coefficients.  The
 tests cross-check the two.  Every sum of scaled uniforms (the profile, the
 exact path, the rational example) is read by ``_scaled_uniform_law`` from
 one integer kernel, which refuses a law past the support cap before
-allocating it.  Only the law and its half's (value, multiplicity) pairs
-are held; libm logs of the pairs, folded from the left, keep every bit.
+allocating it.  The law is a palindrome, so the kernel writes only its
+first half, taking each cumulative sum in place on the previous law: the
+previous law and the half-law are what is held.  The sorted half is folded
+``_BLOCK`` entries at a time, libm logs of whole runs with the left fold's
+sum carried from block to block, so every bit is the whole law's.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
 for the bound and the sweep.  Containment is W_N's independence test, of
@@ -82,37 +85,44 @@ NON_EXCEPTIONAL_NOTE = (
 )
 
 
-def _groups(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Increasing (value, multiplicity) runs of a sorted array's positives."""
-    ordered = ordered[ordered.searchsorted(0, side="right"):]
-    edge = np.ones(len(ordered) + 1, bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
-    edges = edge.nonzero()[0]
-    return ordered[edges[:-1]], edges[1:] - edges[:-1]
+def _entropy_of_sorted(ordered, total, factor=1, middle=0) -> float:
+    """Entropy in bits of a sorted array's positive values, each run's
+    multiplicity times ``factor``, less one for the value ``middle``.  The
+    same bits as the loop ``acc += g * v * math.log2(v)`` over the
+    increasing (value v, multiplicity g) pairs:
 
-
-def _entropy_of_groups(values, groups, total) -> float:
-    """Entropy from increasing (value v > 0, multiplicity g) pairs, the same
-    bits as the loop ``acc += g * v * math.log2(v)``:
-
+    - the pairs, g v, their logs and the terms are made ``_BLOCK`` sorted
+      entries at a time.  A block's last run is read to its end by one
+      ``searchsorted`` and the next block starts after it, so no run is
+      split between two blocks;
     - g v is an exact integer (int64 where no product overflows, else
       Python ints), rounded once to float64 as int-times-float rounds it;
     - each log is ``math.log2`` of the Python int, not ``np.log2``, which
-      differs from libm's in the last bit on some integers.  Values become
-      Python ints ``_BLOCK`` at a time, not in one list;
-    - ``np.add.accumulate`` folds from the left.
+      differs from libm's in the last bit on some integers.  A block's ints
+      are made while only its values and run edges are held;
+    - each term is the log times float(g v) (a product of two floats is the
+      same either way round), and ``np.add.accumulate`` folds each block
+      from the left, its first term carrying the sum so far, so the blocks
+      fold as one left fold.
     """
-    if values.dtype != np.int64 or (
-        len(values) and groups.max() > (2**63 - 1) // values[-1]
-    ):
-        values = values.astype(object)
-    logs = np.empty(len(values))
-    for i in range(0, len(values), _BLOCK):
-        block = values[i:i + _BLOCK].tolist()
-        logs[i:i + len(block)] = np.fromiter(map(math.log2, block), float, len(block))
-    terms = (groups * values).astype(np.float64)
-    terms *= logs
-    acc = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
+    i = ordered.searchsorted(0, side="right")
+    acc = 0.0
+    while i < len(ordered):
+        block = ordered[i:i + _BLOCK]
+        edge = np.ones(len(block) + 1, bool)
+        np.not_equal(block[1:], block[:-1], out=edge[1:-1])
+        edges = edge.nonzero()[0]
+        edges[-1] = ordered.searchsorted(block[-1], side="right") - i
+        i += edges[-1]
+        values = block[edges[:-1]]
+        logs = np.fromiter(map(math.log2, values.tolist()), float, len(values))
+        groups = (edges[1:] - edges[:-1]) * factor - (values == middle)
+        if values.dtype != np.int64 or groups.max() > (2**63 - 1) // values[-1]:
+            values = values.astype(object)
+        logs *= (groups * values).astype(np.float64)
+        logs[0] += acc
+        acc = float(np.add.accumulate(logs, out=logs)[-1])
+        del logs, groups
     return math.log2(total) - acc / total
 
 
@@ -127,7 +137,7 @@ def entropy_from_counts(counts, total) -> float:
     """
     if not isinstance(counts, np.ndarray):
         counts = np.array(list(counts), dtype=object)
-    return _entropy_of_groups(*_groups(np.sort(counts)), total)
+    return _entropy_of_sorted(np.sort(counts), total)
 
 
 # -- alphabet construction -------------------------------------------------
@@ -442,15 +452,18 @@ def _coordinate_layout(
     return layout
 
 
-def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
+def _convolve_scaled_uniform(coeffs: Sequence[int], N: int, stop=None) -> np.ndarray:
     """Counts of sum_t c_t U_t, U_t i.i.d. uniform on {0..N-1}, c_t integers.
 
-    ``counts[k]`` tallies the tuples summing to k.  A c_t or N below 1, a
-    width 1 + (N-1) sum_t c_t past the support cap and N^T past int64 are
-    refused before any allocation.  Adding c U is, on each class q mod c, a
-    window sum of N entries written into ``out[q::c]``: the class's
-    cumulative sums cs, then cs[-1], less cs[:-1] from entry N on.  Only two
-    laws and one cs are held.  Counts are ints of at most 2^62, so exact.
+    ``counts[k]`` tallies the tuples summing to k, for k below ``stop`` (all
+    of them by default).  A c_t or N below 1, a width 1 + (N-1) sum_t c_t
+    past the support cap and N^T past int64 are refused before any
+    allocation.  Adding c U is, on each class q mod c, a window sum of N
+    entries written into ``out[q::c]``: the class's cumulative sums cs,
+    taken in place on the previous law, then cs[-1], less cs[:-1] from entry
+    N on.  A count reads only counts at or below its own index, so every
+    law is cut at ``stop``, and only the previous law and ``out`` are held.
+    Counts are ints of at most 2^62, so exact.
     """
     if min(coeffs, default=1) < 1:
         raise ValueError(f"scaled-uniform coefficients must be >= 1, got {min(coeffs)}")
@@ -465,13 +478,15 @@ def _convolve_scaled_uniform(coeffs: Sequence[int], N: int) -> np.ndarray:
         )
     counts = np.ones(1, dtype=np.int64)
     for s in coeffs:
-        out = np.zeros(len(counts) + s * (N - 1), dtype=np.int64)
+        out = np.zeros(min(len(counts) + s * (N - 1), stop or width), dtype=np.int64)
         for q in range(min(s, len(counts))):
-            cs = np.cumsum(counts[q::s])
+            cs = counts[q::s]
+            np.add.accumulate(cs, out=cs)
             dst = out[q::s]
             dst[:len(cs)] = cs
             dst[len(cs):] = cs[-1]
-            dst[N:] -= cs[:-1]
+            dst[N:] -= cs[:max(len(dst) - N, 0)]
+        del cs  # a view of the law this step replaces
         counts = out
     return counts
 
@@ -494,23 +509,18 @@ def _signature(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
 def _scaled_uniform_law(signature: Tuple[int, ...], N: int) -> Tuple[float, int]:
     """(entropy in bits, support size) of sum_t c_t U_t for a signature.
 
-    The law is a palindrome (U_t -> N-1-U_t maps k to width-1-k): its
-    first half, sorted in place, is grouped and each multiplicity doubled,
-    an odd width's middle count once: the whole law's pairs, so the bits
-    are ``entropy_from_counts``'s.  The law is freed before logs.
+    The law is a palindrome (U_t -> N-1-U_t maps k to width-1-k), so the
+    kernel writes only its first half, which is sorted in place and folded
+    with each multiplicity doubled, an odd width's middle count once: the
+    whole law's pairs, so the bits are ``entropy_from_counts``'s.  The
+    half-law and the fold's block-sized arrays are all that is held.
     """
-    counts = _convolve_scaled_uniform(signature, N)
-    width = len(counts)
-    middle = counts[width // 2]
-    half = counts[:(width + 1) // 2]
+    width = 1 + (N - 1) * sum(signature)
+    half = _convolve_scaled_uniform(signature, N, (width + 1) // 2)
+    middle = half[-1] if width % 2 else 0
     half.sort()
-    values, groups = _groups(half)
-    del counts, half
-    groups *= 2
-    if width % 2 and middle > 0:
-        groups[values.searchsorted(middle)] -= 1
-    return (_entropy_of_groups(values, groups, N ** len(signature)),
-            int(groups.sum()))
+    return (_entropy_of_sorted(half, N ** len(signature), 2, middle),
+            int(2 * np.count_nonzero(half) - (middle > 0)))
 
 
 def sum_entropy_stats(

@@ -150,6 +150,13 @@ class TestDepthAndGrid:
         assert aligned_k_grid(CANTOR, 3, 100) == [3, 9, 27, 81]
         assert aligned_k_grid(CANTOR, 10, 100) == [27, 81]
 
+    @pytest.mark.parametrize("inv_r, top", [(3, 40), (729, 7)])
+    def test_aligned_grid_exact_past_two_to_the_53(self, inv_r, top):
+        # float powers gave 3^34 + 1 and 729^6 + 15
+        spec = IFSSpec(Fraction(1, inv_r), (0, 1))
+        grid = aligned_k_grid(spec, inv_r, inv_r**top)
+        assert grid == [inv_r**j for j in range(1, top + 1)]
+
     def test_aligned_grid_irrational_ratio(self):
         spec = IFSSpec(0.4, (0.0, 1.0))
         grid = aligned_k_grid(spec, 2, 50)

@@ -192,6 +192,28 @@ class TestEntropyMatchesPairLoop:
         counts, total = case
         assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
 
+    @settings(max_examples=200, deadline=None)
+    @given(count_inputs(), st.lists(st.integers(1, 12), max_size=4), st.integers(1, 9),
+           st.integers(1, 7))
+    @example((list(LOG2_DISAGREEMENTS) * 3 + [0, 1, 2], 3 * sum(LOG2_DISAGREEMENTS) + 3),
+             [1], 9, 2)
+    @example((np.array(sorted(LOG2_DISAGREEMENTS * 2), dtype=np.int64),
+              2 * sum(LOG2_DISAGREEMENTS)), [1, 1, 1], 3, 1)
+    # the object path: runs of counts past 2^63
+    @example((np.array([2**63 + 1] * 5 + [2**64 - 1] * 3 + [7], dtype=object),
+              5 * (2**63 + 1) + 3 * (2**64 - 1) + 7), [2, 5], 4, 3)
+    @example(([2**63] * 4 + [3] * 7, 4 * 2**63 + 21), [1, 2], 3, 2)
+    def test_equal_to_pair_loop_when_runs_straddle_blocks(self, case, coeffs, N, block):
+        # Blocks of 1 to 7 entries split runs of the sorted counts and of
+        # the half-laws; the fold must join them.
+        counts, total = case
+        law = dofbound._convolve_scaled_uniform(coeffs, N)
+        want = (entropy_by_pairs(law, N ** len(coeffs)), int((law > 0).sum()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dofbound, "_BLOCK", block)
+            assert entropy_from_counts(counts, total) == entropy_by_pairs(counts, total)
+            assert dofbound._scaled_uniform_law(tuple(coeffs), N) == want
+
     @pytest.mark.parametrize("value", LOG2_DISAGREEMENTS)
     def test_log2_disagreement_values(self, value):
         # pairs (1, 1) and (value, 2): the only nonzero log is log2(value)
@@ -208,12 +230,19 @@ class TestEntropyMatchesPairLoop:
 class TestScaledUniformKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 6) | st.integers(7, 40), min_size=1, max_size=4),
-           st.integers(1, 7))
+           st.integers(1, 7), st.none() | st.integers(1, 3) | st.integers(1, 400))
     # coefficients larger than the running width leave residue classes empty
-    @example([5], 1)
-    @example([9, 1], 2)
-    @example([3, 40, 2], 3)
-    def test_equals_tuple_enumeration(self, coeffs, N):
+    @example([5], 1, None)
+    @example([9, 1], 2, None)
+    @example([3, 40, 2], 3, None)
+    # stopped: at the first entry, at half an odd (7) and an even (8) width,
+    # inside a wide coefficient's empty classes, and at the full width
+    @example([9, 1], 2, 1)
+    @example([1, 2], 3, 4)
+    @example([1, 2, 4], 2, 4)
+    @example([3, 40, 2], 3, 50)
+    @example([3, 40, 2], 3, 91)
+    def test_equals_tuple_enumeration(self, coeffs, N, stop):
         counts = dofbound._convolve_scaled_uniform(coeffs, N)
         width = 1 + (N - 1) * sum(coeffs)
         tally = Counter(
@@ -224,6 +253,10 @@ class TestScaledUniformKernel:
         assert counts.tolist() == [tally[k] for k in range(width)]
         # u -> N-1-u maps a sum k to width-1-k
         assert counts.tolist() == counts[::-1].tolist()
+        # a stopped kernel writes the first ``stop`` of those counts
+        stopped = dofbound._convolve_scaled_uniform(coeffs, N, stop)
+        assert stopped.dtype == np.int64
+        assert stopped.tolist() == counts.tolist()[:stop]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 12), max_size=4), st.integers(1, 9))
@@ -254,15 +287,17 @@ class TestScaledUniformKernel:
 
     def test_benchmark_law_memory(self):
         # The rational example's law at N = 2^19: 1,048,575 counts, 524,288
-        # distinct.  The law, its half-law pairs and one block of Python ints
-        # peak at 22.5 MiB; a list of all 524,288 as ints takes about 20 MiB.
+        # distinct.  Its first law and its half-law, 4 MiB each, peak at
+        # 8.0 MiB, and the sorted half and one block of the fold at 8.1 MiB.
+        # The whole law alone is 8 MiB, and a list of its 524,288 distinct
+        # counts as ints about 20 MiB.
         tracemalloc.start()
         try:
             dofbound._scaled_uniform_law((1, 1), 2**19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 9 * 2**20
 
 
 class TestBuildWN:
@@ -464,9 +499,9 @@ class TestScaledUniformLaws:
         calls = []
         kernel = dofbound._convolve_scaled_uniform
 
-        def spy(coeffs, N):
+        def spy(coeffs, N, stop=None):
             calls.append(tuple(coeffs))
-            return kernel(coeffs, N)
+            return kernel(coeffs, N, stop)
 
         monkeypatch.setattr(dofbound, "_convolve_scaled_uniform", spy)
         return calls
