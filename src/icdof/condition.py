@@ -11,15 +11,18 @@ off-diagonal entries and phi = C(K(K-1) + d, d).
 receiver or for the ones asked for, and :func:`require_independent` is the
 gate over it.  A receiver that :func:`jacobian_certifies` is independent at
 every degree, and its family is never built.  Any other is checked at the
-given degree:
-the family is expanded into exact polynomials in the channel generators,
-and independence over the rationals is a rank question over their sparse
-coefficient columns, decided by ``linalg.eliminate_columns``, which also
-owns the on-sight rule for distinct single terms and the elimination cap.
-A product of multi-term entries is not expanded for a family past that
-cap.  A failed check returns an explicit integer certificate that
-substitutes back to the exact zero polynomial; an "independent" verdict
-from it is certified only up to the tested degree.
+given degree.  The family is expanded into exact polynomials in the
+channel generators, built as plain term maps (``algebra.terms_product``)
+and handed to ``linalg.eliminate_columns`` as the sparse coefficient
+columns whose rank decides independence over the rationals.  The
+eliminator owns the elimination cap and the single-entry rule: a
+single-term channel's family is decided from its monomials alone, its rank
+the number of distinct ones.  A product of multi-term entries is not
+expanded for a family past that cap.  A failed check returns an explicit
+integer certificate that substitutes back to the exact zero polynomial; the
+substitution builds only the family values the certificate weighs.  An
+"independent" verdict from the check is certified only up to the tested
+degree.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraElement, Rational, enumerate_monomials, monomial_count
+from .algebra import (
+    AlgebraElement, Rational, enumerate_monomials, monomial_count, terms_product
+)
 from .channel import ChannelMatrix, off_diagonal
 from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import linalg
@@ -58,7 +63,8 @@ def jacobian_certifies(
     """True only if the off-diagonal entries, and h_ii when ``receiver`` is
     i, are algebraically independent over Q: their Jacobian at the rational
     point x_k = k + 2 has full rank (by ``linalg.eliminate_columns``; a
-    generic channel's columns are independent on sight).
+    generic channel's columns are single entries on distinct keys, so the
+    single-entry rule decides them with no reduction).
 
     A relation P(entries) = 0 of least degree makes, by the chain rule, the
     gradients dependent over Q(x) with the coefficients dP/dy(entries), not
@@ -84,29 +90,30 @@ def jacobian_certifies(
         return False
 
 
-def basis_values(matrix: ChannelMatrix, d: int):
+def basis_values(matrix: ChannelMatrix, d: int) -> List[AlgebraElement]:
     """The values f_1(h), ..., f_phi(h) as exact polynomials in the generators.
 
     Unless every entry is a single term, the values will need elimination,
     so the elimination cap is checked before any product is expanded.
 
-    Each value is one product: its graded predecessor (the monomial with its
-    last nonzero exponent lowered by one, which has degree one less and so
-    comes earlier in graded order) times that entry.  Arithmetic is exact,
-    so this equals the product of powers.
+    Each value is one product of term maps: its graded predecessor (the
+    monomial with its last nonzero exponent lowered by one, which has degree
+    one less and so comes earlier in graded order) times that entry.
+    Arithmetic is exact, so this equals the product of powers.
     """
     nvars = matrix.K * (matrix.K - 1)
-    check_h = off_diagonal(matrix)
-    if any(entry.single_term() is None for entry in check_h):
+    check_h = [entry._terms for entry in off_diagonal(matrix)]
+    if any(len(entry) != 1 for entry in check_h):
         linalg.check_columns(2 * monomial_count(nvars, d))
     monomials = enumerate_monomials(nvars, d)
     position = {mono: k for k, mono in enumerate(monomials)}
-    values = [AlgebraElement.constant(len(matrix.generators), 1)]
+    ngens = len(matrix.generators)
+    values = [{(0,) * ngens: 1}]
     for mono in monomials[1:]:
         last = max(v for v, exp in enumerate(mono) if exp)
         predecessor = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-        values.append(values[position[predecessor]] * check_h[last])
-    return values
+        values.append(terms_product(values[position[predecessor]], check_h[last]))
+    return [AlgebraElement._of(ngens, terms) for terms in values]
 
 
 def basis_independent(
@@ -122,7 +129,7 @@ def basis_independent(
         return True
     if basis is None:
         basis = basis_values(matrix, d)
-    return linalg.eliminate_columns([f.terms for f in basis])[1] is None
+    return linalg.eliminate_columns([f._terms for f in basis])[1] is None
 
 
 def monomial_values(
@@ -130,7 +137,9 @@ def monomial_values(
 ) -> List[AlgebraElement]:
     """The length-2*phi(d) family for one receiver (1-based index)."""
     require_receiver(matrix, receiver)
-    return _receiver_family(matrix, receiver, basis_values(matrix, d))
+    ngens = len(matrix.generators)
+    family = _receiver_family(matrix, receiver, basis_values(matrix, d))
+    return [AlgebraElement._of(ngens, terms) for terms in family]
 
 
 def require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
@@ -140,10 +149,12 @@ def require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
 
 
 def _receiver_family(
-    matrix: ChannelMatrix, receiver: int, basis: List[AlgebraElement]
-) -> List[AlgebraElement]:
-    h_ii = matrix.diagonal(receiver)
-    return list(basis) + [h_ii * v for v in basis]
+    matrix: ChannelMatrix, receiver: int, basis: Sequence[AlgebraElement]
+) -> List[Dict]:
+    """The family as term maps: the basis values, then h_ii times each."""
+    h_ii = matrix.diagonal(receiver)._terms
+    terms = [f._terms for f in basis]
+    return terms + [terms_product(h_ii, f) for f in terms]
 
 
 @dataclass(frozen=True)
@@ -159,17 +170,39 @@ class DependenceCertificate:
     b: Tuple[int, ...]
 
     def substitute(self, matrix: ChannelMatrix) -> AlgebraElement:
-        values = monomial_values(matrix, self.degree, self.receiver)
-        total = AlgebraElement.zero(len(matrix.generators))
-        for coeff, value in zip(self.a + self.b, values):
-            if coeff:
-                total = total + value.scale(coeff)
+        """sum_j (a_j + b_j h_ii) f_j(h), exactly, over the j with a nonzero
+        coefficient; each such f_j is the product of powers of its own
+        exponent vector, and no other family value is built.  Refuses an
+        ``a`` or ``b`` whose length is not phi(degree).
+        """
+        require_receiver(matrix, self.receiver)
+        nvars = matrix.K * (matrix.K - 1)
+        phi = monomial_count(nvars, self.degree)
+        if len(self.a) != phi or len(self.b) != phi:
+            raise ValueError(
+                f"certificate has {len(self.a)} a and {len(self.b)} b "
+                f"coefficients; phi({self.degree}) = {phi} each are needed"
+            )
+        entries = [entry._terms for entry in off_diagonal(matrix)]
+        h_ii = matrix.diagonal(self.receiver)
+        ngens = len(matrix.generators)
+        one = (0,) * ngens
+        total = AlgebraElement.zero(ngens)
+        monomials = enumerate_monomials(nvars, self.degree)
+        for mono, a_j, b_j in zip(monomials, self.a, self.b):
+            if not (a_j or b_j):
+                continue
+            f_j = {one: 1}
+            for entry, exp in zip(entries, mono):
+                for _ in range(exp):
+                    f_j = terms_product(f_j, entry)
+            weight = AlgebraElement.constant(ngens, a_j) + h_ii.scale(b_j)
+            total = total + AlgebraElement._of(
+                ngens, terms_product(weight._terms, f_j))
         return total
 
     def is_valid(self, matrix: ChannelMatrix) -> bool:
-        if not any(self.a) and not any(self.b):
-            return False
-        return self.substitute(matrix).is_zero()
+        return self.substitute(matrix).is_zero() and (any(self.a) or any(self.b))
 
 
 @dataclass(frozen=True)
@@ -220,8 +253,7 @@ def check_all(
         if ok:
             verdicts.append(ReceiverVerdict(i, d, True, 2 * phi, 2 * phi))
             continue
-        family = _receiver_family(matrix, i, basis)
-        rank, kernel = linalg.eliminate_columns([v.terms for v in family])
+        rank, kernel = linalg.eliminate_columns(_receiver_family(matrix, i, basis))
         certificate = None if kernel is None else DependenceCertificate(
             i, d, tuple(kernel[:phi]), tuple(kernel[phi:])
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -92,10 +93,24 @@ def _sorted_cell_counts(samples: np.ndarray, k: int) -> np.ndarray | None:
 
 
 def required_depth(spec: IFSSpec, k_max: int) -> int:
-    """Smallest depth m with r^m <= 1/(2 k_max), so truncation error stays
-    below the finest quantization cell."""
-    r = float(spec.r)
-    return max(1, math.ceil(math.log(2 * k_max) / math.log(1 / r)))
+    """Smallest depth m >= 1 with r^m <= 1/(2 k_max), so truncation error
+    stays below the finest quantization cell.
+
+    The test is exact, (1/r)^m >= 2 k_max in ``Fraction`` arithmetic (a
+    float r is an exact binary fraction).  The float logs only give the
+    first m tried, which is lowered while m - 1 passes and raised until m
+    does: from them alone, r = 1/3 at k_max = (3^34 + 1)/2 gives 34, one
+    short.
+    """
+    inv_r = 1 / Fraction(spec.r)
+    target = 2 * k_max
+    m = max(1, math.ceil(math.log(target) / (
+        math.log(inv_r.numerator) - math.log(inv_r.denominator))))
+    while m > 1 and inv_r ** (m - 1) >= target:
+        m -= 1
+    while inv_r**m < target:
+        m += 1
+    return m
 
 
 def aligned_k_grid(spec: IFSSpec, k_min: int, k_max: int) -> list[int]:

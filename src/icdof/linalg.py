@@ -5,11 +5,12 @@ package asks: condition (*), the size of W_N and the containment basis.
 It takes columns as sparse ``{row_key: value}`` maps of ``int`` and
 ``Fraction`` values (an ``AlgebraElement``'s ``terms``), so no dense
 matrix is built; integer entries stay Python ints, and a ``Fraction`` is
-made only where a division by a pivot is not exact.  Columns that are
-single nonzero entries on distinct keys (the generic channel's distinct
-monomials) are independent on sight, with no cap and no reduction.  Any
-other family wider than ``ELIMINATION_COLUMN_CAP`` is refused before any
-work, and otherwise costs what the fill-in of its reduced columns costs.
+made only where a division by a pivot is not exact.  A family of columns
+that are each one nonzero entry (the single-term channels' monomials) is
+decided from its keys with no reduction: its rank is the number of distinct
+keys, and when no key repeats it is independent with no cap.  Any other
+family wider than ``ELIMINATION_COLUMN_CAP`` is refused before any work,
+and otherwise costs what the fill-in of its reduced columns costs.
 
 The tests compare it against a dense fraction-free Bareiss reference
 (Bareiss, Math. Comp. 22, 1968), which lives with them in
@@ -65,13 +66,28 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
     form gives for the matrix with these columns, when its free variable is
     the first non-pivot column, c, set to 1.
 
-    Columns that are each one nonzero entry on a key no other column has
-    are independent (each is alone in its row): ``(len(columns), None)`` at
-    once, whatever their number.  Any other family is capped, then reduced.
+    Columns that are each one nonzero entry, column j being v_j on key k_j,
+    are decided from their keys (the single-entry rule), with the result the
+    reduction would give.  The reduction keeps, for each key, the first
+    column p that has it as the basis vector 1 on k_p with combination
+    1/v_p on p: a column whose key is new has no pivot to subtract and
+    becomes one, and a column c whose key k is already a pivot, of column
+    p, subtracts v_c times that vector and is zero at once, with
+    combination 1 on c and -v_c/v_p on p.  No other key ever enters a
+    vector, so the rank is the number of distinct keys, the first dependent
+    column is the first c whose key an earlier column p holds, and the
+    kernel is ``_coprime`` of (-v_c/v_p on p, 1 on c), value for value.
+    When no key repeats, the family is independent whatever its number of
+    columns.  A family with a repeated key passes the cap first, like every
+    family but a distinct-key one, so the rule refuses exactly the families
+    the reduction refuses.  Any other family is capped, then reduced.
     """
-    if _independent_on_sight(columns):
-        return len(columns), None
+    single = _single_entry_result(columns)
+    if single is not None and single[1] is None:
+        return single
     check_columns(len(columns))
+    if single is not None:
+        return single
     basis: Dict = {}
     kernel = None
     for index, column in enumerate(columns):
@@ -99,18 +115,28 @@ def eliminate_columns(columns: Sequence[Mapping]) -> Tuple[int, List[int] | None
     return len(basis), kernel
 
 
-def _independent_on_sight(columns: Sequence[Mapping]) -> bool:
-    """True iff every column is one nonzero entry on its own key; the scan
-    stops at the first column that is not."""
-    seen = set()
-    for column in columns:
+def _single_entry_result(
+    columns: Sequence[Mapping],
+) -> Tuple[int, List[int] | None] | None:
+    """``(rank, kernel)`` of columns that are each one nonzero entry, read
+    off their keys, or None at the first column that is not (see
+    :func:`eliminate_columns`)."""
+    first: Dict = {}
+    kernel = None
+    for c, column in enumerate(columns):
         if len(column) != 1:
-            return False
+            return None
         ((key, value),) = column.items()
-        if not value or key in seen:
-            return False
-        seen.add(key)
-    return True
+        if not value:
+            return None
+        if key not in first:
+            first[key] = (c, value)
+        elif kernel is None:
+            p, pivot_value = first[key]
+            kernel = [0] * len(columns)
+            kernel[p] = -Fraction(value, pivot_value)
+            kernel[c] = 1
+    return len(first), None if kernel is None else _coprime(kernel)
 
 
 def _divided(vector: Dict, scale) -> Dict:

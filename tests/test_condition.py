@@ -197,6 +197,35 @@ class TestEliminateOnSight:
         with pytest.raises(CapExceededError):
             linalg.eliminate_columns(columns)
 
+    def test_repeated_key_decided_from_keys(self, monkeypatch):
+        # One-entry columns with repeated keys: the rank is the number of
+        # distinct keys and the kernel comes from the first repeat (column 2,
+        # key "x", first held by column 0), with no column reduced; the
+        # family is still capped.
+        columns = [{"x": 3}, {"y": Fraction(1, 2)}, {"x": -2}, {"y": 5}]
+        dense_rows = [[3, 0, -2, 0], [0, 1, 0, 10]]
+        expected = (dense.rank(dense_rows), dense.kernel_vector(dense_rows))
+        assert expected == (2, [2, 0, 3, 0])
+        monkeypatch.setattr(linalg, "_subtract", _refuse("reduction"))
+        assert linalg.eliminate_columns(columns) == expected
+        report = check_all(load_channel(_product_doc()), 3)
+        assert [v.rank for v in report.verdicts] == [154] * 3
+        monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 3)
+        with pytest.raises(CapExceededError):
+            linalg.eliminate_columns(columns)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 5),
+        st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))),
+        max_size=12))
+    def test_single_entry_rule_matches_bareiss(self, entries):
+        columns = [{key: value} for key, value in entries]
+        rows = integer_rows([[value if k == key else 0 for key, value in entries]
+                             for k in range(6)])
+        assert linalg.eliminate_columns(columns) == (
+            dense.rank(rows), dense.kernel_vector(rows))
+
     def test_two_entry_and_empty_columns_are_reduced(self, monkeypatch):
         x1 = AlgebraElement.generator(2, 0)
         one = AlgebraElement.constant(2, 1)
@@ -420,6 +449,18 @@ class TestDependence:
         coeffs = list(cert.a + cert.b)
         assert any(coeffs)
         assert math.gcd(*[abs(c) for c in coeffs]) in (0, 1)
+
+    def test_certificate_of_the_wrong_length_is_refused(self):
+        # phi(1) = 3 on generic K=2: seven a's and no b's, truncated to the
+        # six family values, would read as a valid certificate.
+        m = generic_channel(2)
+        for a, b in [((0,) * 6 + (1,), ()), ((1, 0, 0), (0, 0)),
+                     ((1, 0, 0), (0, 0, 0, 0))]:
+            cert = DependenceCertificate(1, 1, a, b)
+            message = f"{len(a)} a and {len(b)} b coefficients; phi\\(1\\) = 3"
+            for call in (cert.is_valid, cert.substitute):
+                with pytest.raises(ValueError, match=message):
+                    call(m)
 
     def test_all_zero_certificate_invalid(self):
         m = generic_channel(2)

@@ -146,6 +146,20 @@ class TestDepthAndGrid:
         assert (1 / 3) ** depth <= 1 / (2 * 81)
         assert (1 / 3) ** (depth - 1) > 1 / (2 * 81)
 
+    @pytest.mark.parametrize("e", [20, 30, 34, 35])
+    def test_required_depth_is_exact_past_float_logs(self, e):
+        # 2 k_max = 3^e + 1, so r^m <= 1/(2 k_max) first holds at m = e + 1;
+        # the float quotient log(2 k_max) / log 3 is at most e at e = 34 and 35.
+        k_max = (3**e + 1) // 2
+        depth = required_depth(CANTOR, k_max)
+        assert depth == e + 1
+        assert Fraction(1, 3) ** depth <= Fraction(1, 2 * k_max)
+        assert Fraction(1, 3) ** (depth - 1) > Fraction(1, 2 * k_max)
+
+    def test_required_depth_of_the_benchmark_estimate(self):
+        # r = 1/729 over k up to 729^3: 729^4 >= 2 * 729^3 > 729^3.
+        assert required_depth(IFSSpec(Fraction(1, 729), (0, 1)), 729**3) == 4
+
     def test_aligned_grid_powers(self):
         assert aligned_k_grid(CANTOR, 3, 100) == [3, 9, 27, 81]
         assert aligned_k_grid(CANTOR, 10, 100) == [27, 81]

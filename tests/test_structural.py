@@ -7,7 +7,9 @@ rational constants.  The oracles are the tuple enumeration of W_N and of
 the received sums, Bareiss elimination of the receiver family, called
 directly, the materialized convolution of the received sums, the
 per-element kernel read of the interference support that containment used
-to run, and the per-degree check that the Jacobian certificate skips.
+to run, the per-degree check that the Jacobian certificate skips, and a
+term-by-term Fraction expansion of the products of powers that the basis,
+the receiver family and the certificate substitution build from term maps.
 """
 
 import itertools
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from icdof import condition
-from icdof.algebra import AlgebraElement
-from icdof.channel import ChannelMatrix, load_channel
+from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
+from icdof.channel import ChannelMatrix, load_channel, off_diagonal
 from icdof.condition import (
     basis_values,
     check_all,
@@ -174,6 +176,70 @@ class TestStructuralIndependence:
         assert report.verdicts == tuple(
             check_all(matrix, d, [i]).verdicts[0] for i in range(1, matrix.K + 1)
         )
+
+
+def expanded_product(ngens, factors):
+    """Oracle: the product of ``factors``, expanded term by term in
+    ``Fraction`` arithmetic, with no shortcut for a single-term factor."""
+    terms = {(0,) * ngens: Fraction(1)}
+    for factor in factors:
+        out = {}
+        for ma, ca in terms.items():
+            for mb, cb in factor.terms.items():
+                mono = tuple(x + y for x, y in zip(ma, mb))
+                out[mono] = out.get(mono, 0) + Fraction(ca) * cb
+        terms = out
+    return AlgebraElement(ngens, terms)
+
+
+@st.composite
+def term_map_cases(draw):
+    """(channel, d, receiver, a, b): d up to 3 for K = 2 and 3, and sparse
+    integer coefficient vectors of length phi(d)."""
+    K = draw(st.sampled_from([2, 3]))
+    matrix = draw(channels(draw(st.sampled_from(KINDS)), K))
+    d = draw(st.integers(0, 3))
+    phi = monomial_count(K * (K - 1), d)
+    sparse = st.lists(st.sampled_from([0] * 6 + [-2, -1, 1, 3]),
+                      min_size=phi, max_size=phi).map(tuple)
+    return matrix, d, draw(st.integers(1, K)), draw(sparse), draw(sparse)
+
+
+class TestTermMapFamilies:
+    """The term-map basis, family and certificate substitution against the
+    product-of-powers oracle and the dense Bareiss reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(term_map_cases())
+    def test_families_ranks_and_substitution_match_oracles(self, case):
+        matrix, d, receiver, a, b = case
+        ngens = len(matrix.generators)
+        entries = off_diagonal(matrix)
+        basis = [
+            expanded_product(ngens, [e for e, exp in zip(entries, mono)
+                                     for _ in range(exp)])
+            for mono in enumerate_monomials(len(entries), d)
+        ]
+        h_ii = matrix.diagonal(receiver)
+        family = basis + [expanded_product(ngens, [h_ii, f]) for f in basis]
+        assert basis_values(matrix, d) == basis
+        assert monomial_values(matrix, d, receiver) == family
+
+        rows = dense.integer_columns(family)
+        verdict = check_all(matrix, d, [receiver]).verdicts[0]
+        assert verdict.rank == dense.rank(rows)
+        kernel = dense.kernel_vector(rows)
+        assert verdict.independent == (kernel is None)
+        if kernel is not None:
+            assert list(verdict.certificate.a + verdict.certificate.b) == kernel
+            assert verdict.certificate.is_valid(matrix)
+
+        # Full-family substitution, every value scaled by its coefficient.
+        full = AlgebraElement.zero(ngens)
+        for coeff, value in zip(a + b, family):
+            full = full + value.scale(coeff)
+        certificate = condition.DependenceCertificate(receiver, d, a, b)
+        assert certificate.substitute(matrix) == full
 
 
 @st.composite
