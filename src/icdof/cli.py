@@ -6,6 +6,14 @@ version, input digests, wall clock); CSV payloads embed the same manifest
 minus the wall clock as a single ``# manifest:`` comment line, so reruns
 with identical manifests are byte-identical.
 
+Each command imports the module it runs: ``build``, ``bound``, ``sweep``,
+``example-rational`` and ``fig1`` import ``dofbound``, ``estimate`` imports
+``dimest`` and ``ifs`` imports ``ifs``, and those load numpy.  ``check``
+runs the pure-Python channel and condition modules, and a report shorter
+than ``_BLOCK`` bytes of compact JSON is laid out by its tokens, without
+numpy; a longer one takes the numpy block layout (see ``_dump_json``).  So
+``icdof check`` loads numpy only to write a report of 64 KiB or more.
+
 Exit codes: 0 success, 1 domain errors (caps, invalid channels, failed
 independence, sizes past the float range), 2 usage errors.
 """
@@ -17,29 +25,33 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, condition, dimest, dofbound, ifs
+from . import __version__, condition
 from .channel import load_channel_file
 from .errors import CapExceededError, ChannelFormatError, ConditionNotSatisfiedError
-from .ifs import IFSSpec
+
+if TYPE_CHECKING:
+    from . import dofbound
+    from .ifs import IFSSpec
 
 
 # -- serialization helpers -------------------------------------------------
 
 
-#: +1 for an opening and -1 for a closing bracket or brace, by byte value.
-_DEPTH_STEP = np.zeros(256, np.int8)
-_DEPTH_STEP[[ord("["), ord("{")]] = 1
-_DEPTH_STEP[[ord("]"), ord("}")]] = -1
-
-#: ``_dump_json`` lays out about this many bytes of compact text at a time.
+#: ``_dump_json`` lays out a compact text shorter than this many bytes by its
+#: tokens, and a longer one with numpy, about this many bytes at a time.
 _BLOCK = 1 << 16
+
+#: A whole JSON string, or a bracket or brace; an empty container is one
+#: token.  Every branch opens with a literal, which lets the regex engine
+#: skip to the next quote or bracket by its first character.
+_TOKEN = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*"|\[\]?|\{\}?|\]|\})')
 
 
 def _dump_json(payload: dict) -> str:
@@ -48,30 +60,75 @@ def _dump_json(payload: dict) -> str:
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set (CPython 3.11 and earlier).  Here the C encoder writes the
     compact text with the separators ``","`` and ``": "`` that ``indent=2``
-    uses, so only the line breaks and indents are missing, and numpy
-    inserts them:
+    uses, so only the line breaks and indents are missing.  The indented
+    encoder writes ``"\\n"`` plus two spaces per open container after each
+    ``[``/``{`` that is not closed at once and after each ``,``, and the
+    same before each ``]``/``}`` that does not close an empty container;
+    an empty container stays ``[]`` or ``{}``.  Numbers,
+    ``true``/``false``/``null`` and ``NaN``/``Infinity`` hold no structural
+    character.  ``ensure_ascii`` escapes every control and non-ASCII
+    character, so the text is ASCII, and a backslash occurs only inside a
+    string, where it opens an escape.  Which layout runs depends on the
+    length of the compact text alone; both insert the same bytes.
 
-    * ``ensure_ascii`` escapes every control and non-ASCII character, so the
-      text is ASCII, and a backslash occurs only inside a string, where it
-      opens an escape.  With each escaped backslash pair masked, a ``"`` is a
-      string delimiter exactly when no backslash precedes it, and the parity
-      of their running count tells string bytes from structural ones.
-    * The indented encoder writes ``"\\n"`` plus two spaces per open
-      container after each ``[``/``{`` that is not closed at once and after
-      each ``,``, and the same before each ``]``/``}`` that does not close an
-      empty container.  Numbers, ``true``/``false``/``null`` and
-      ``NaN``/``Infinity`` hold no structural character.
-
-    The text is laid out in blocks of about ``_BLOCK`` bytes, so besides
-    the compact text and the output only block-sized arrays are held.  A
-    block never ends on a backslash, so each run of backslashes is masked
-    within one block, pairing from its first backslash as the whole text
-    would.  From block to block the string parity, the depth and whether
-    the last byte opened a container are carried; whether that container
-    is empty is read from the byte one ahead, which after an opening
-    bracket cannot be inside a string.
+    * Shorter than ``_BLOCK``: ``_TOKEN`` splits the text.  Its scan starts
+      outside any string and, between tokens, passes only bytes of numbers,
+      literals, ``","`` and ``": "``, none of them a quote; at each opening
+      quote the string branch matches through the closing one (an escape is
+      consumed whole, so an escaped quote does not end it, and the text
+      holds no raw line break for ``.`` to miss), so the scan never starts
+      inside a string and every bracket it matches is structural.  Each
+      run between tokens is therefore structural too, and its commas are
+      item separators at the depth of the last bracket token, which the
+      loop tracks: each becomes ``",\\n"`` plus that indent through
+      ``str.replace``.  ``[]`` and ``{}`` are matched before
+      a lone bracket, so an empty container is copied as it is, and every
+      other bracket gets its line break.  Strings are copied as they are.
+      The work is one Python step per string or bracket, and a certificate
+      list is one run, so on the small reports the commands write this is
+      faster than the numpy layout, whose fixed cost dominates there, and
+      than the pure-Python indented encoder.
+    * Longer: numpy inserts the breaks in blocks of about ``_BLOCK`` bytes,
+      which is faster on large, token-dense reports such as the overlap
+      list.  With each escaped backslash pair masked, a ``"`` is a string
+      delimiter exactly when no backslash precedes it, and the parity of
+      their running count tells string bytes from structural ones; the
+      depth is the running sum of the structural brackets.  Besides the
+      compact text and the output only block-sized arrays are held.  A
+      block never ends on a backslash, so each run of backslashes is masked
+      within one block, pairing from its first backslash as the whole text
+      would.  From block to block the string parity, the depth and whether
+      the last byte opened a container are carried; whether that container
+      is empty is read from the byte one ahead, which after an opening
+      bracket cannot be inside a string.
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ": "))
+    if len(text) >= _BLOCK:
+        return _layout_blocks(text)
+    parts = _TOKEN.split(text)
+    pad = "\n"
+    for i in range(1, len(parts), 2):
+        token = parts[i]
+        if token == "[" or token == "{":
+            pad += "  "
+            parts[i] = token + pad
+        elif token == "]" or token == "}":
+            pad = pad[:-2]
+            parts[i] = pad + token
+        if "," in parts[i + 1]:
+            parts[i + 1] = parts[i + 1].replace(",", "," + pad)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _layout_blocks(text: str) -> str:
+    """The numpy layout of ``_dump_json``, for a compact text of ``_BLOCK``
+    bytes or more."""
+    import numpy as np
+
+    depth_step = np.zeros(256, np.int8)
+    depth_step[[ord("["), ord("{")]] = 1
+    depth_step[[ord("]"), ord("}")]] = -1
     parts = []
     inside, depth, opened = False, 0, False
     begin = 0
@@ -85,7 +142,7 @@ def _dump_json(payload: dict) -> str:
         quote = masked == ord('"')
         quote[1:] &= masked[:-1] != ord("\\")
         within = np.logical_xor.accumulate(quote) ^ inside
-        step = _DEPTH_STEP[raw]
+        step = depth_step[raw]
         step[within] = 0
         # The encoder's recursion limit bounds the nesting depth far below
         # 2^31; output offsets are not bounded, so they are intp.
@@ -224,6 +281,8 @@ def parse_ifs_spec(text: str) -> IFSSpec:
         probs = None if probs is None else tuple(Fraction(p) for p in probs)
     except (ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"IFS spec holds a malformed number: {exc}") from None
+    from .ifs import IFSSpec
+
     return IFSSpec(r, atoms, probs)
 
 
@@ -249,6 +308,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import dofbound
+
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
     if not args.waive_condition:
@@ -276,6 +337,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import dofbound
+
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
     report = dofbound.dof_lower_bound(
@@ -295,6 +358,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import dofbound
+
     started = time.perf_counter()
     matrix = load_channel_file(args.channel)
     degrees, ranges = _int_list(args.degrees), _int_list(args.ranges)
@@ -327,6 +392,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_example_rational(args) -> int:
+    from . import dofbound
+
     started = time.perf_counter()
     offdiag = [
         [args.hmax if i != j else 0 for j in range(args.k)] for i in range(args.k)
@@ -349,6 +416,8 @@ def cmd_example_rational(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    from . import dofbound
+
     started = time.perf_counter()
     report = dataclasses.asdict(dofbound.fig1_demo())
     _write_report(_manifest("fig1", {}), report, started, args.out)
@@ -356,6 +425,8 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import dimest
+
     started = time.perf_counter()
     spec = parse_ifs_spec(args.spec)
     if args.k_grid is not None:
@@ -410,6 +481,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ifs(args) -> int:
+    from . import ifs
+
     started = time.perf_counter()
     spec = parse_ifs_spec(args.spec)
     report = {

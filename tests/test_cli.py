@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import icdof
 from icdof.channel import generic_channel, store_channel
 from icdof import cli, condition, ifs
-from icdof.cli import _dump_json, main, parse_ifs_spec
+from icdof.cli import _dump_json, _layout_blocks, main, parse_ifs_spec
 from test_channel import MISREAD, MISREAD_BASE
 
 CANTOR_SPEC = '{"r": "1/3", "atoms": [0, 2]}'
@@ -588,6 +588,42 @@ class TestDumpJson:
             patch.setattr(cli, "_BLOCK", block)
             assert _dump_json(value) == want
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_layout_switch_at_block_length(self, offset):
+        # Compact texts shorter than _BLOCK take the token layout, the rest
+        # the numpy blocks; both sides of the switch write the oracle's bytes.
+        def payload(pad):
+            return {"a": [1, [], {}, [[-2.5e-07]]], "s": '[,]{"}\\' + "x" * pad}
+
+        def compact_length(value):
+            return len(json.dumps(value, sort_keys=True, separators=(",", ": ")))
+
+        pad = cli._BLOCK + offset - compact_length(payload(0))
+        value = payload(pad)
+        assert compact_length(value) == cli._BLOCK + offset
+        blocks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_layout_blocks",
+                          lambda text: blocks.append(text) or _layout_blocks(text))
+            text = _dump_json(value)
+        assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert len(blocks) == (offset >= 0)
+
+    @pytest.mark.parametrize("value", [
+        # A certificate list as `check` writes it.
+        {"receivers": [{"independent": False, "certificate": {
+            "a": list(range(-2500, 2500)),
+            "b": [(-1) ** i * (i % 97) for i in range(5000)],
+        }}]},
+        {",": "[", "]": "{,}", "a,b": ["}", "{", "[]", "{}", ",,"]},
+        {"q": ['\\"', '\\\\"', 'a\\"b,"[', '"', '\\"]\\"'],
+         '"': {'\\': []}},
+        {"runs": ["\\" * n for n in range(1, 9)] + ["\\" * n + '"' for n in range(4)]},
+    ])
+    def test_token_layout_equals_indented_dumps(self, value):
+        assert len(json.dumps(value, separators=(",", ": "))) < cli._BLOCK
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
     def test_large_report_holds_block_sized_arrays(self):
         # The 4.08 MB depth-7 overlap report: the compact text, the output
         # and block-sized arrays, not a dozen per-byte arrays of the text.
@@ -624,3 +660,88 @@ def test_runtime_does_not_import_scipy(tmp_path):
     )
     assert done.stdout.split() == ["[]"]
     assert json.loads((tmp_path / "report.json").read_text())["report"]["overlaps"]
+
+
+def _src_env() -> dict:
+    src = str(Path(icdof.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_check_loads_no_numpy(tmp_path):
+    # `check` runs the pure-Python condition module and lays its reports out
+    # by tokens, so no import on its path may pull numpy in.
+    names = [f"h{i}{j}" for i in range(1, 4) for j in range(1, 4)]
+    entries = [names[r * 3:(r + 1) * 3] for r in range(3)]
+    product = [row[:] for row in entries]
+    product[2][1] = "5/3*h12*h13"
+    files = []
+    for stem, grid in [("generic3", entries), ("product3", product),
+                       ("malformed", [["h11", "h12**2", "h13"]] + entries[1:])]:
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps({"K": 3, "generators": names, "entries": grid}))
+        files.append(str(path))
+    code = """if True:
+        import contextlib, io, json, sys
+        from icdof import cli
+        reports = []
+        for channel in sys.argv[1:3]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["check", "--channel", channel, "--degree", "3"]) == 0
+            reports.append(out.getvalue())
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["--version"])
+        except SystemExit as exc:
+            assert exc.code == 0
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["check", "--channel", sys.argv[3], "--degree", "1"]) == 1
+        print(json.dumps({
+            "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
+            "reports": reports,
+        }))
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", code, *files],
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["numpy"] == []
+    for text in result["reports"]:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    generic, product = (json.loads(text)["report"] for text in result["reports"])
+    assert generic["independent"] and not product["independent"]
+    assert all(r["certificate"]["a"] for r in product["receivers"])
+
+
+#: ``icdof.__all__`` as it stood when every name was imported eagerly.
+PACKAGE_EXPORTS = [
+    "AlgebraElement", "ChannelMatrix", "ConditionReport", "DependenceCertificate",
+    "DofReport", "IFSSpec", "InputConstruction", "algebra", "build_w_n", "channel",
+    "check_all", "compare_with_formula", "condition", "containment_check",
+    "dimest", "dof_lower_bound", "dofbound", "enumerate_monomials", "errors",
+    "estimate_dimension", "exact_overlap_search", "fig1_demo",
+    "fixed_point_discrepancy", "fully_connected", "generic_channel",
+    "hochman_dimension", "ifs", "integer_offdiag_channel", "linalg",
+    "load_channel", "load_channel_file", "monomial_count", "monomial_values",
+    "off_diagonal", "quantized_entropy", "ratio_limit", "rational_channel",
+    "rational_example", "sample", "separability_check", "separation_check",
+    "store_channel", "sumset_distribution", "sweep",
+]
+
+
+def test_lazy_package_exports_are_complete():
+    assert icdof.__all__ == PACKAGE_EXPORTS
+    star = {}
+    exec("from icdof import *", star)
+    for name in PACKAGE_EXPORTS:
+        value = getattr(icdof, name)
+        if isinstance(value, type(icdof)):
+            assert value is sys.modules[f"icdof.{name}"]
+        else:
+            assert value is vars(sys.modules[value.__module__])[name]
+        assert star[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        icdof.no_such_name
