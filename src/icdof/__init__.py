@@ -43,7 +43,6 @@ _LAZY = {
     "containment_check": "dofbound",
     "dof_lower_bound": "dofbound",
     "fig1_demo": "dofbound",
-    "ratio_limit": "dofbound",
     "rational_example": "dofbound",
     "separability_check": "dofbound",
     "sumset_distribution": "dofbound",

@@ -30,10 +30,11 @@ Rational = Union[int, Fraction]
 #: takes 2.0-2.1 s and 110 MB peak RSS with integer coefficients, and
 #: 3.4 s and 126 MB with every entry 3/2 times its generator (2 vCPUs,
 #: Python 3.11.7).  It guards only what is built from the monomials: a channel
-#: certified by its Jacobian builds none, and its verdicts and bounds count
-#: phi uncapped, with |W_N| kept as the pair (N, phi), never as N**phi.
-#: ``containment_check`` alone still writes ((K-1)N)**phi(d+1) out, so it
-#: keeps the cap.
+#: certified by its Jacobian builds none, and its verdicts, W_N sizes and
+#: bounds count phi uncapped, with |W_N| kept as the pair (N, phi), never as
+#: N**phi, so ``build`` meets the cap only for an uncertified or colliding
+#: basis.  ``containment_check`` alone still writes ((K-1)N)**phi(d+1) out,
+#: so it keeps the cap.
 DEFAULT_MONOMIAL_CAP = 10**5
 
 

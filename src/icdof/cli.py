@@ -318,7 +318,7 @@ def cmd_build(args) -> int:
     report = {
         "degree": construction.degree,
         "coeff_range": construction.coeff_range,
-        "phi": len(construction.basis),
+        "phi": construction.phi,
         **_size_fields(construction.size),
         "log_inv_r": construction.log_inv_r,
         "unique_representation": construction.unique_representation,

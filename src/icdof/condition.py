@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement, Rational, enumerate_monomials, monomial_count, terms_product
@@ -117,19 +117,22 @@ def basis_values(matrix: ChannelMatrix, d: int) -> List[AlgebraElement]:
 
 
 def basis_independent(
-    matrix: ChannelMatrix, d: int, basis: Sequence[AlgebraElement] | None = None
+    matrix: ChannelMatrix,
+    d: int,
+    basis: Callable[[], Sequence[AlgebraElement]] | None = None,
 ) -> bool:
     """Whether the degree-<=d basis values are independent over Q, so that
     |W_N| = N^phi(d): at once when :func:`jacobian_certifies` the
     off-diagonal entries (distinct monomials in algebraically independent
     elements are linearly independent), else by the rank of the values of
-    :func:`basis_values` at ``d`` (``basis`` when the caller holds them).
+    :func:`basis_values` at ``d``.  ``basis``, when given, is called for
+    those values instead, and only when the certificate fails, so a caller
+    that keeps them builds them once and a certified one not at all.
     """
     if jacobian_certifies(matrix):
         return True
-    if basis is None:
-        basis = basis_values(matrix, d)
-    return linalg.eliminate_columns([f._terms for f in basis])[1] is None
+    values = basis_values(matrix, d) if basis is None else basis()
+    return linalg.eliminate_columns([f._terms for f in values])[1] is None
 
 
 def monomial_values(

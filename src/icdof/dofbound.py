@@ -6,12 +6,12 @@ the received sums (full and interference-only) of independent uniform
 letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
 
-W_N is enumerated only when its letters are needed: independent basis
-values (:func:`condition.basis_independent`) give |W_N| = N^phi
-unenumerated, and the coordinate decomposition below never reads them.
+W_N is a value of (channel, d, N, size); its basis values and letters
+are built on first read, by the waived coordinate path, the sum laws,
+``to_ifs`` and the rank test of a basis the Jacobian leaves uncertified.
+A certified channel reads none, so its |W_N| = N^phi is sized at any d.
 The support cap ``DEFAULT_SUPPORT_CAP`` is checked where a support is
-materialized (the N^phi letter combinations, a sumset, a dense
-scaled-uniform law), so the size of a lazy W_N is not capped at all.
+materialized (the N^phi letters, a sumset, a dense scaled-uniform law).
 
 A gated call (condition (*) passed at degree d+1) takes its bound from
 the multiplicity profile of (K, d) alone, by :func:`profile_bound`.  It is
@@ -63,7 +63,7 @@ from .algebra import (
     monomial_key,
     monomial_mul,
 )
-from .channel import ChannelMatrix, fully_connected
+from .channel import ChannelMatrix, fully_connected, integer_offdiag_channel
 from .errors import CapExceededError
 from . import condition as condition_mod
 from .ifs import IFSSpec
@@ -158,18 +158,29 @@ class Power(NamedTuple):
 
 @dataclass(frozen=True)
 class InputConstruction:
-    """The alphabet W_N together with its construction metadata; ``letters``
-    is ``functools.cache``d, so every read of ``elements`` is one tuple."""
+    """The alphabet W_N of a channel at (d, N), a value of its four fields,
+    so equal builds compare equal.  The basis values and the letters are
+    not fields: each is made on first read and kept (``cached_property``
+    writes past the frozen ``__setattr__``)."""
 
+    matrix: ChannelMatrix
     degree: int
     coeff_range: int
-    basis: Tuple[AlgebraElement, ...]
     size: Power
-    letters: Callable[[], Tuple[AlgebraElement, ...]]
+
+    @functools.cached_property
+    def basis(self) -> Tuple[AlgebraElement, ...]:
+        return tuple(condition_mod.basis_values(self.matrix, self.degree))
+
+    @functools.cached_property
+    def elements(self) -> Tuple[AlgebraElement, ...]:
+        return _enumerate_letters(self.basis, self.coeff_range,
+                                  len(self.matrix.generators))
 
     @property
-    def elements(self) -> Tuple[AlgebraElement, ...]:
-        return self.letters()
+    def phi(self) -> int:
+        """phi(d), the number of basis values, counted without building them."""
+        return monomial_count(self.matrix.K * (self.matrix.K - 1), self.degree)
 
     @property
     def cardinality(self) -> int:
@@ -184,7 +195,7 @@ class InputConstruction:
     @property
     def unique_representation(self) -> bool:
         """Distinct coefficient vectors give distinct letters."""
-        return self.size == (self.coeff_range, len(self.basis))
+        return self.size == (self.coeff_range, self.phi)
 
     @property
     def log_inv_r(self) -> float:
@@ -213,28 +224,27 @@ def _enumerate_letters(
 def build_w_n(matrix: ChannelMatrix, d: int, N: int) -> InputConstruction:
     """W_N = { sum_i a_i f_i(h) : a_i in {1..N} } with exact dedup.
 
-    When the basis values are independent over Q
-    (:func:`condition.basis_independent`: the Jacobian certificate, else
-    their rank), distinct coefficient vectors (a_1, ..., a_phi) give
-    distinct letters, so |W_N| = N^phi and the representation is unique,
-    with nothing enumerated.  N = 1 needs no test: W_N is one letter.  The
-    letters are enumerated on the first read of ``elements``, and only then
-    is N^phi checked against the support cap.  A dependent basis is
-    enumerated here, so its N^phi is capped at once, and deduplicated
-    exactly; its size is (|W_N|, 1) when letters collide.
+    Independent basis values (:func:`condition.basis_independent`: the
+    Jacobian certificate, tried before any value is built, else their rank)
+    give distinct letters for distinct coefficient vectors, so |W_N| =
+    N^phi, phi counted uncapped, and a certified channel builds nothing.
+    N = 1 needs no test: W_N is one letter.  An uncertified basis is built
+    once, for its rank test and its letters alike; a dependent one is
+    enumerated here, its N^phi capped at once, and its size is (|W_N|, 1)
+    when letters collide.
     """
     if N < 1:
         raise ValueError(f"coefficient range N must be >= 1, got {N}")
-    basis = tuple(condition_mod.basis_values(matrix, d))
-    size = Power(N, len(basis))
-    letters = functools.cache(functools.partial(
-        _enumerate_letters, basis, N, len(matrix.generators)
-    ))
-    if N > 1 and not condition_mod.basis_independent(matrix, d, basis):
-        count = len(letters())
-        if count < N ** len(basis):
-            size = Power(count, 1)
-    return InputConstruction(d, N, basis, size, letters)
+    phi = monomial_count(matrix.K * (matrix.K - 1), d)
+    construction = InputConstruction(matrix, d, N, Power(N, phi))
+    if N > 1 and not condition_mod.basis_independent(
+        matrix, d, lambda: construction.basis
+    ):
+        count = len(construction.elements)
+        if count < N ** phi:
+            # Set before it is returned, so the letters read stay held.
+            object.__setattr__(construction, "size", Power(count, 1))
+    return construction
 
 
 def to_ifs(construction: InputConstruction, valuation: Sequence[float]) -> IFSSpec:
@@ -426,9 +436,10 @@ def _coordinate_layout(
     """Monomial -> list of scaling coefficients, or None if ineligible.
 
     Eligible when every participating entry h_ij and every basis value f_l
-    is a single term and W_N has a unique representation.  Then letters are
-    in bijection with coefficient vectors, so a uniform letter W_j has
-    i.i.d. uniform coefficients a_{j,l}, and the received sum is
+    (read, and so built, here) is a single term and W_N has a unique
+    representation.  Then letters are in bijection with coefficient
+    vectors, so a uniform letter W_j has i.i.d. uniform coefficients
+    a_{j,l}, and the received sum is
     sum_{j,l} a_{j,l} h_ij f_l.  Each product h_ij f_l is one term, so each
     a_{j,l} lands, scaled, on exactly one monomial: the coordinates are
     sums of scaled uniforms over disjoint sets of independent a's, hence
@@ -669,13 +680,6 @@ def interference_ratio_bound(K: int, d: int, N: int) -> float | None:
     )
 
 
-def ratio_limit(K: int, d: int) -> float:
-    """phi(d+1)/phi(d) = (K(K-1) + d + 1)/(d + 1)."""
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
-    return (K * (K - 1) + d + 1) / (d + 1)
-
-
 def _dof_report(K, d, N, size, log_inv_r, entropies, ratio_bound):
     """The report of per-receiver (H_full, H_int) pairs: each receiver's
     terms min(H / log2(1/r), 1) (0 when r = 1) and their left-folded total."""
@@ -886,19 +890,10 @@ def rational_example(
         raise ValueError(f"alphabet size N must be >= 1, got {N}")
     if len(offdiag) != K or any(len(row) != K for row in offdiag):
         raise ValueError(f"off-diagonal entries must form a {K}x{K} grid")
-    entries = [list(row) for row in offdiag]
-    h_max = 0
-    for i in range(K):
-        for j in range(K):
-            if i != j:
-                value = entries[i][j]
-                if value == 0 or value % 1:
-                    raise ValueError(
-                        f"off-diagonal entry h{i + 1}{j + 1} must be a "
-                        f"nonzero integer, got {value!r}"
-                    )
-                entries[i][j] = int(value)
-                h_max = max(h_max, abs(entries[i][j]))
+    matrix = integer_offdiag_channel(offdiag)
+    rows = [[matrix.entry(i, j).constant_value() for j in range(1, K + 1) if j != i]
+            for i in range(1, K + 1)]
+    h_max = max(abs(c) for coeffs in rows for c in coeffs)
     base = 2 * h_max * K * N
     contraction = Fraction(1, base**2)
     log_inv_r = 2.0 * math.log2(base)
@@ -906,8 +901,7 @@ def rational_example(
     entropies = []
     law = functools.cache(lambda signature: _scaled_uniform_law(signature, N))
     lo = hi = 0
-    for i in range(K):
-        coeffs = [entries[i][j] for j in range(K) if j != i]
+    for coeffs in rows:
         h_int, _ = law(tuple(sorted(abs(c) for c in coeffs)))
         lo = min(lo, (N - 1) * sum(c for c in coeffs if c < 0))
         hi = max(hi, (N - 1) * sum(c for c in coeffs if c > 0))

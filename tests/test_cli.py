@@ -164,6 +164,22 @@ class TestBuildAndBound:
         assert rep["contraction"] == "1/2^(14)"
         assert rep["unique_representation"] is True
 
+    def test_build_certified_at_any_degree(self, capsys, generic_file,
+                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a basis value was built")
+
+        monkeypatch.setattr(condition, "basis_values", refuse)
+        code, out, _ = run(
+            capsys, "build", "--channel", generic_file,
+            "--degree", "4096", "--range", "2",
+        )
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["phi"] == math.comb(4102, 6)
+        assert rep["cardinality"] == f"2^{math.comb(4102, 6)}"
+        assert rep["unique_representation"] is True
+
     def test_bound_values(self, capsys, generic_file):
         code, out, _ = run(
             capsys, "bound", "--channel", generic_file,
@@ -726,7 +742,7 @@ PACKAGE_EXPORTS = [
     "fixed_point_discrepancy", "fully_connected", "generic_channel",
     "hochman_dimension", "ifs", "integer_offdiag_channel", "linalg",
     "load_channel", "load_channel_file", "monomial_count", "monomial_values",
-    "off_diagonal", "quantized_entropy", "ratio_limit", "rational_channel",
+    "off_diagonal", "quantized_entropy", "rational_channel",
     "rational_example", "sample", "separability_check", "separation_check",
     "store_channel", "sumset_distribution", "sweep",
 ]

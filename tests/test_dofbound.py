@@ -29,7 +29,6 @@ from icdof.dofbound import (
     interference_ratio_bound,
     multiplicity_profile,
     profile_bound,
-    ratio_limit,
     rational_example,
     separability_check,
     sum_entropy_stats,
@@ -401,6 +400,41 @@ class TestBuildWN:
         with pytest.raises(ValueError):
             build_w_n(generic_channel(2), 0, 0)
 
+    def test_certified_w_n_builds_nothing_at_any_degree(self, monkeypatch):
+        # phi(17) = 100,947 is past the monomial cap, which guards only
+        # what is built: a certified W_N builds no basis value.
+        def refuse(*args):
+            raise AssertionError("a basis value was built")
+
+        monkeypatch.setattr(condition, "basis_values", refuse)
+        for d in (17, 4096):
+            c = build_w_n(generic_channel(3), d, 2)
+            assert c.phi == math.comb(d + 6, 6)
+            assert c.size == (2, math.comb(d + 6, 6))
+            assert c.unique_representation
+
+    def test_equal_builds_compare_equal(self):
+        shared = load_channel(SHARED_GENERATOR_K2)
+        for m, d, N in ((generic_channel(2), 1, 3), (shared, 1, 2)):
+            first = build_w_n(m, d, N)
+            assert first.elements  # read letters are not part of the value
+            assert first == build_w_n(m, d, N)
+            assert first != build_w_n(m, d, N + 1)
+
+    def test_colliding_basis_built_once(self, monkeypatch):
+        # The rank test and the letters of an uncertified basis share one build.
+        calls = []
+        build = condition.basis_values
+
+        def counted(matrix, d):
+            calls.append(d)
+            return build(matrix, d)
+
+        monkeypatch.setattr(condition, "basis_values", counted)
+        c = build_w_n(load_channel(SHARED_GENERATOR_K2), 1, 2)
+        assert c.size == (6, 1) and len(c.elements) == 6 and len(c.basis) == 3
+        assert calls == [1]
+
 
 class TestToIfs:
     def test_atoms_are_evaluations(self):
@@ -658,13 +692,6 @@ class TestRatios:
         v = interference_ratio_bound(3, 0, 4)
         assert v == pytest.approx(7 * math.log2(8) / (2 * math.log2(4)))
         assert interference_ratio_bound(3, 0, 1) is None
-
-    def test_ratio_limit(self):
-        assert ratio_limit(3, 0) == 7.0
-        assert ratio_limit(3, 1) == 4.0
-        assert ratio_limit(2, 0) == 3.0
-        with pytest.raises(ValueError):
-            ratio_limit(3, -1)
 
 
 class TestDofLowerBound:
