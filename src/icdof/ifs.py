@@ -11,12 +11,13 @@ The fast paths return exactly what the plain computation returns:
   points scaled by the positive constant D*q^(L-1) (D the lcm of the atom
   denominators, r = p/q), which keeps their order and equality.
 * Labels are drawn as ``Generator.choice(n, p=probs)`` draws them, from the
-  same uniforms against the same normalised cdf, but the first i with
-  cdf[i] > u is read from a guide table and one vectorized step, and found
-  by ``choice``'s binary search only where those leave it open; see
-  :func:`_label_sampler`.
-* The fixed-point check's KS statistic is exact: an integer walk along the
-  merged samples, over the sample size; see :func:`fixed_point_discrepancy`.
+  same uniforms against the same normalised cdf.  Each level's step
+  (r^k * atom) is read from a power-of-two step table at floor(u*M), and
+  only a draw in a bucket that a cdf value cuts takes ``choice``'s binary
+  search; see :func:`_step_table`.
+* The fixed-point check's KS statistic is exact: integer counts at the tie
+  ends of a blocked merge of the sorted samples, over the sample size; see
+  :func:`fixed_point_discrepancy`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .errors import CapExceededError
 #: Cap on the number of equal-length word pairs inspected by the overlap search.
 DEFAULT_PAIR_CAP = 5 * 10**6
 
-#: The label sampler's guide table has at most 2**_GUIDE_BITS entries (8 MB).
+#: The label step table has 2**_TABLE_BITS buckets, or the fewest power of
+#: two >= 4n for n atoms past that, and at most 2**_GUIDE_BITS (8 MB).
+_TABLE_BITS = 12
 _GUIDE_BITS = 20
 
 #: ``sample`` draws each level in blocks of this many labels.
@@ -173,65 +176,33 @@ def exact_overlap_search(
         atoms = [float(a) for a in spec.atoms]
         grow, ratio = 1, float(spec.r)
     out: List[OverlapPair] = []
-    # Words in product (lexicographic) order with their base points, each
-    # depth extended from the last by one appended letter and one add.
-    words = [()]
+    # Base points in product (lexicographic) word order, each depth extended
+    # from the last by one appended letter and one add.  A word's index is
+    # its rank in that order, so pairs are found and sorted as index pairs
+    # (i < j), and words are built only for a depth that has pairs.
     values = [0]
     scale = 1
     for depth in range(1, max_depth + 1):
         steps = [scale * a for a in atoms]
-        words = [word + (idx,) for word in words for idx in range(n)]
         values = [grow * v + step for v in values for step in steps]
         scale *= ratio
-        order = sorted(range(len(words)), key=lambda t: (values[t], words[t]))
+        order = sorted(range(len(values)), key=values.__getitem__)
+        found = []
         # |v_a - v_b| <= tol pairs found by a sliding window over sorted values.
-        for pos_a in range(len(order)):
-            ia = order[pos_a]
+        for pos_a, ia in enumerate(order):
+            value_a = values[ia]
             for pos_b in range(pos_a + 1, len(order)):
                 ib = order[pos_b]
-                delta = values[ib] - values[ia]
+                delta = values[ib] - value_a
                 if delta > tolerance:
                     break
-                wa, wb = sorted((words[ia], words[ib]))
-                out.append(OverlapPair(wa, wb, abs(float(delta))))
-    out.sort(key=lambda p: (len(p.word_a), p.word_a, p.word_b))
+                found.append((ia, ib, delta) if ia < ib else (ib, ia, delta))
+        if found:
+            found.sort()
+            words = list(itertools.product(range(n), repeat=depth))
+            out += [OverlapPair(words[ia], words[ib], abs(float(delta)))
+                    for ia, ib, delta in found]
     return out
-
-
-def _label_sampler(spec: IFSSpec):
-    """``draw(rng, size)``: the labels ``Generator.choice(spec.n, size, p=probs)``
-    returns for ``rng``, with probs the normalised float label law.
-
-    It consumes the same ``rng.random(size)`` and builds the same
-    ``cdf = probs.cumsum(); cdf /= cdf[-1]`` that ``choice`` does.  The label
-    of u is the first i with cdf[i] > u, which ``choice`` finds by binary
-    search.  Here a guide table (Chen-Asau indexed search) over M = 2^m >= 4n
-    buckets finds it: M is a power of two, so the bucket b = floor(u*M) and
-    its edges b/M, (b+1)/M are exact.  ``lo[b]``, the first i with
-    cdf[i] > b/M, is at most the label, and falls short of it by at most the
-    number of cdf values strictly inside the bucket.  One step
-    ``idx += cdf[idx] <= u`` therefore settles every bucket holding at most
-    one such value.  If a bucket holds more, the draws still unsettled take
-    ``choice``'s own binary search.
-    """
-    probs = np.array([float(p) for p in spec.probs])
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
-    buckets = 1 << min((4 * spec.n - 1).bit_length(), _GUIDE_BITS)
-    edges = np.arange(buckets + 1) / buckets
-    lo = np.searchsorted(cdf, edges[:-1], side="right")
-    crowded = (np.searchsorted(cdf, edges[1:], side="left") - lo).max() > 1
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = lo[(u * buckets).astype(np.intp)]
-        idx += cdf[idx] <= u
-        if crowded:
-            late = np.flatnonzero(cdf[idx] <= u)
-            idx[late] = cdf.searchsorted(u[late], side="right")
-        return idx
-
-    return draw
 
 
 def sample(
@@ -248,10 +219,13 @@ def sample(
     beyond ``count`` would be empty and are not spawned: a child's seed does
     not depend on how many siblings are spawned after it.  Each chunk fills
     its slice of one output array; ``np.array_split`` makes the first
-    ``count % chunks`` slices one longer.  Adding ``(scale*atoms)[idx]`` adds
-    the same products as ``scale*atoms[idx]``.  Each level is drawn by
-    :func:`_add_draws`, so its temporaries (uniforms, labels, gathered
-    steps) are block-sized.
+    ``count % chunks`` slices one longer.
+
+    The draws are the bytes ``Generator.choice(spec.n, p=probs)`` gives: each
+    level adds ``(scale*atoms)[label]``, the same products as
+    ``scale*atoms[label]``, with each label read from a step table (see
+    :func:`_step_table`) and each level drawn by :func:`_add_draws`, so its
+    temporaries (uniforms, bucket indices, gathered steps) are block-sized.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -259,31 +233,79 @@ def sample(
         raise ValueError("count must be >= 1")
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    chunks = min(chunks, count)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(chunks)
-    atoms = spec.atoms_float()
-    draw = _label_sampler(spec)
-    r = float(spec.r)
     out = np.zeros(count)
-    for child, acc in zip(children, np.array_split(out, chunks)):
-        rng = np.random.default_rng(child)
-        scale = 1.0
-        for _ in range(depth):
-            _add_draws(acc, scale * atoms, draw, rng)
-            scale *= r
+    _sample_into(out, spec, depth, seed, min(chunks, count))
     return out
 
 
-def _add_draws(acc: np.ndarray, step: np.ndarray, draw, rng) -> None:
-    """``acc += step[draw(rng, acc.size)]``, drawn in blocks of ``_BLOCK``.
+def _sample_into(out: np.ndarray, spec: IFSSpec, depth: int, seed,
+                 chunks: int) -> None:
+    """Add into ``out`` (zeros) the ``out.size`` draws :func:`sample` makes,
+    in ``chunks`` <= ``out.size`` chunks."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    table, cdf = _step_table(spec)
+    atoms = spec.atoms_float()
+    r = float(spec.r)
+    for child, acc in zip(ss.spawn(chunks), np.array_split(out, chunks)):
+        rng = np.random.default_rng(child)
+        scale = 1.0
+        for _ in range(depth):
+            _add_draws(acc, scale * atoms, scale * table, cdf, rng)
+            scale *= r
 
-    ``rng.random`` over consecutive blocks consumes the stream as one call
-    over the whole array does, so the bytes do not depend on the block size.
+
+def _step_table(spec: IFSSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The unit step table and the cdf ``Generator.choice`` builds.
+
+    ``choice(spec.n, p=probs)`` (probs the normalised float label law) builds
+    ``cdf = probs.cumsum(); cdf /= cdf[-1]``, draws u by ``random`` and takes
+    the label of u to be the first i with cdf[i] > u, by binary search.  The
+    table has M = 2^m buckets, m = max(_TABLE_BITS, ceil(log2 4n)) capped at
+    _GUIDE_BITS.  M is a power of two, so the bucket b = floor(u*M) and its
+    edges b/M, (b+1)/M are exact.  Every u in bucket b has a label of at
+    least lo[b], the first i with cdf[i] > b/M, and exactly lo[b] when no
+    cdf value lies strictly inside the bucket (then cdf[lo[b]] >= (b+1)/M
+    > u).  Such a bucket holds ``atoms[lo[b]]``; every other bucket is
+    marked NaN.  Atoms are finite and a level's scale is at most 1, so no
+    step is NaN, and the marker can only be a marked bucket.
     """
+    probs = np.array([float(p) for p in spec.probs])
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    bits = max(_TABLE_BITS, (4 * spec.n - 1).bit_length())
+    buckets = 1 << min(bits, _GUIDE_BITS)
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    table = spec.atoms_float()[lo]
+    table[np.searchsorted(cdf, edges[1:], side="left") > lo] = np.nan
+    return table, cdf
+
+
+def _add_draws(acc: np.ndarray, step: np.ndarray, table: np.ndarray,
+               cdf: np.ndarray, rng) -> None:
+    """``acc += step[labels]``, the labels ``choice`` draws from ``rng``,
+    taken in blocks of ``_BLOCK``.
+
+    ``table`` is :func:`_step_table`'s scaled by the level's scale, so an
+    unmarked bucket holds ``step[label]`` itself and a draw costs one
+    gather ``table[floor(u*M)]``.  A draw landing in a marked (NaN) bucket,
+    where a cdf value may separate it from lo[b], takes ``choice``'s own
+    ``cdf.searchsorted(u, side="right")``.  u is a multiple of 2^-53 in
+    [0, 1), so u*M and u*M/M are exact: the uniforms are scaled in place
+    and the late ones scaled back to the same doubles.  ``rng.random`` over
+    consecutive blocks consumes the stream as one call over the whole array
+    does, so the bytes do not depend on the block size.
+    """
+    buckets = table.size
     for start in range(0, acc.size, _BLOCK):
         part = acc[start:start + _BLOCK]
-        part += step[draw(rng, part.size)]
+        u = rng.random(part.size)
+        u *= buckets
+        add = table[u.astype(np.intp)]
+        late = np.flatnonzero(np.isnan(add))
+        add[late] = step[cdf.searchsorted(u[late] / buckets, side="right")]
+        part += add
+        del u, add  # so the next block's draws are not held beside these
 
 
 def truncation_bound(spec: IFSSpec, depth: int) -> float:
@@ -305,48 +327,63 @@ def fixed_point_discrepancy(
     Small values evidence the self-similar fixed-point equation; passing a
     wrong ``r_second`` is the negative control.
 
-    The statistic is max_x |F1(x) - F2(x)| over the two empirical cdfs,
-    computed in integers.  Both samples are sorted in one array, and a
-    stable argsort merges the two sorted runs.  Along the merge,
-    walk = cumsum(+1 per first-sample point, -1 per second-sample point) is
-    count*(F1(x) - F2(x)) at the last point of the tie group of each sample
-    value x, and the maximum is taken at those points (the walk's last
-    value is 0).  Returning that integer over ``count`` gives the exact
-    statistic, correctly rounded.  It is the ``ks_2samp`` statistic of
-    SciPy's stats module bit for bit whenever count <= 10,000, where its
-    exact mode returns h/count; above that it subtracts two rounded cdf
-    values, which can differ from h/count in the last bit.
+    The statistic is max_v |F1(v) - F2(v)| over the sample values v,
+    computed in integers: h = max_v |(#first <= v) - (#second <= v)|, and
+    h/count is the exact statistic, correctly rounded.  It is the
+    ``ks_2samp`` statistic of SciPy's stats module bit for bit whenever
+    count <= 10,000, where its exact mode returns h/count; above that it
+    subtracts two rounded cdf values, which can differ from h/count in the
+    last bit.
 
-    Memory: the two samples and the merge order, 2*count floats and
-    2*count indices, and nothing else of their size.  The offsets W are
-    added to r*X' in place, drawn in blocks as :func:`sample` draws (so
-    they are the labels one ``draw(rng, count)`` returns).  The merge is
-    walked ``_BLOCK`` positions at a time, carrying the walk value, and a
-    block's last tie group is closed by the value one position ahead, so
-    the integer maximum is the one the whole walk gives.
+    h is read from a blocked merge of the two sorted samples.  Each round
+    takes the next ``_BLOCK`` values of each side, x the smaller of the two
+    windows' last values, and the piece of each window below x.  A value
+    v < x lies above every value an earlier round took and below the last
+    value of each window not yet empty, so every value equal to v on either
+    side is inside its window: at each tie end of a piece,
+    both counts are exact, the own one from the position and the other one
+    from a ``searchsorted`` into the other piece.  x itself is counted by
+    ``searchsorted(x, "right")`` over the rest of each sample, so its tie
+    group, which may run past a window, is never split, and the next round
+    starts past it.  Each round consumes a whole window, and every value is
+    counted at its tie end on each side, so h does not depend on
+    ``_BLOCK``.
+
+    Memory: the two samples, 2*count floats, and block-sized pieces.  Both
+    are drawn in place (X' is scaled in place and the offsets W added to it
+    in blocks, as :func:`sample` draws a level, so they are the labels
+    ``choice`` would draw from the offset stream), and no index array is
+    built.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     if count < 1:
         raise ValueError("count must be >= 1")
-    ss = np.random.SeedSequence(seed)
-    s_direct, s_scaled, s_offset = ss.spawn(3)
-    both = np.empty(2 * count)
-    first, second = both[:count], both[count:]
-    first[:] = sample(spec, depth, count, s_direct)
-    second[:] = sample(spec, depth - 1, count, s_scaled)
+    s_direct, s_scaled, s_offset = np.random.SeedSequence(seed).spawn(3)
+    first, second = np.zeros(count), np.zeros(count)
+    _sample_into(first, spec, depth, s_direct, 1)
+    _sample_into(second, spec, depth - 1, s_scaled, 1)
     second *= float(spec.r) if r_second is None else float(r_second)
-    _add_draws(second, spec.atoms_float(), _label_sampler(spec),
+    _add_draws(second, spec.atoms_float(), *_step_table(spec),
                np.random.default_rng(s_offset))
     first.sort()
     second.sort()
-    order = np.argsort(both, kind="stable")
-    gap = walk = 0
-    for start in range(0, order.size, _BLOCK):
-        block = order[start:start + _BLOCK]
-        ahead = both[order[start:start + _BLOCK + 1]]
-        ends = ahead[1:] != ahead[:-1]
-        walks = np.cumsum(np.where(block < count, 1, -1)) + walk
-        gap = max(gap, int(np.abs(walks[:ends.size][ends]).max(initial=0)))
-        walk = int(walks[-1])
+    i = j = gap = 0
+    while i < count or j < count:
+        window_a, window_b = first[i:i + _BLOCK], second[j:j + _BLOCK]
+        x = min(w[-1] for w in (window_a, window_b) if w.size)
+        piece_a = window_a[:window_a.searchsorted(x, "left")]
+        piece_b = window_b[:window_b.searchsorted(x, "left")]
+        # window[k] >= x > piece[-1], so the piece's last value is a tie end.
+        for window, piece, other, own, base in (
+            (window_a, piece_a, piece_b, i, j),
+            (window_b, piece_b, piece_a, j, i),
+        ):
+            if piece.size:
+                ends = np.flatnonzero(window[1:piece.size + 1] != piece)
+                diff = ends + (own + 1 - base) - other.searchsorted(piece[ends], "right")
+                gap = max(gap, int(np.abs(diff).max()))
+        i += int(first[i:].searchsorted(x, "right"))
+        j += int(second[j:].searchsorted(x, "right"))
+        gap = max(gap, abs(i - j))
     return gap / count

@@ -170,11 +170,21 @@ class TestOverlapSearch:
             (IFSSpec(Fraction(1, 2), (0, 1, 2)), 3),
             (IFSSpec(Fraction(1, 3), (0, 1, 3)), 3),
             (CANTOR, 4),
+            (IFSSpec(Fraction(1, 2), (0, 1, 2)), 4),
         ],
     )
     def test_matches_naive_oracle(self, spec, depth):
-        got = {(p.word_a, p.word_b) for p in exact_overlap_search(spec, depth)}
-        assert got == naive_overlaps(spec, depth)
+        # The list itself is ordered by (depth, word_a, word_b); at depth 4
+        # the order of the sorted base points is not that order.
+        got = [(p.word_a, p.word_b) for p in exact_overlap_search(spec, depth)]
+        assert got == sorted(naive_overlaps(spec, depth),
+                             key=lambda pair: (len(pair[0]), pair))
+
+    def test_float_tolerance_matches_naive_oracle(self):
+        spec = IFSSpec(0.41, (0.0, 0.3, 1.1, 0.7))
+        got = [(p.word_a, p.word_b) for p in exact_overlap_search(spec, 3, 0.05)]
+        assert got == sorted(naive_overlaps(spec, 3, 0.05),
+                             key=lambda pair: (len(pair[0]), pair))
 
     def test_tolerance_widens(self):
         spec = IFSSpec(Fraction(1, 3), (0, 2))
@@ -256,7 +266,7 @@ class TestSampling:
 
 def choice_sample(spec, depth, count, seed, chunks=1):
     """``sample`` as it was written with ``Generator.choice`` (its chunk
-    split inlined), kept as the oracle for the guide-table label draw."""
+    split inlined), kept as the oracle for the step-table label draw."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(chunks)
     atoms = spec.atoms_float()
@@ -314,9 +324,31 @@ class TestSampleMatchesChoice:
         want = choice_sample(spec, depth, count, seed, chunks=chunks)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        label_laws(),
+        st.integers(1, 4),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.integers(1, 4)),
+        st.booleans(),
+    )
+    def test_few_buckets_equal_choice_oracle(self, spec, depth, count, seed,
+                                             table_bits, capped):
+        # With _TABLE_BITS at 1..4 the table has the fewest power of two
+        # >= 4n buckets; capped at 2..16 buckets as well, most of them are
+        # marked, so most draws take the binary search.  None is the default.
+        with pytest.MonkeyPatch.context() as patch:
+            if table_bits is not None:
+                patch.setattr(ifs_module, "_TABLE_BITS", table_bits)
+                if capped:
+                    patch.setattr(ifs_module, "_GUIDE_BITS", table_bits)
+            got = sample(spec, depth, count, seed)
+        assert got.tobytes() == choice_sample(spec, depth, count, seed).tobytes()
+
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_binary_search_fallback_equals_choice_oracle(self, n, monkeypatch):
-        # A 4-entry guide table leaves most draws to the binary search.
+        # A 4-bucket step table leaves most draws to the binary search.
         monkeypatch.setattr(ifs_module, "_GUIDE_BITS", 2)
         weights = [(7 * i) % 5 for i in range(n - 1)] + [1]
         probs = tuple(Fraction(w, sum(weights)) for w in weights)
@@ -333,12 +365,16 @@ class TestSampleMatchesChoice:
                                                  monkeypatch):
         # Dyadic probabilities make every cdf value a possible uniform.  With
         # 4 buckets the first law crowds four values into bucket 0 and the
-        # second puts 3/8 alone inside bucket 1.
+        # second puts 3/8 alone inside bucket 1; uncapped, the table has
+        # 2**_TABLE_BITS buckets and every edge of them is fed.
         monkeypatch.setattr(ifs_module, "_GUIDE_BITS", guide_bits)
         spec = IFSSpec(Fraction(1, 3), tuple(range(len(sixteenths))),
                        tuple(Fraction(k, 16) for k in sixteenths))
+        table, table_cdf = ifs_module._step_table(spec)
+        assert table.size == 1 << min(ifs_module._TABLE_BITS, guide_bits)
         cdf = np.array([float(p) for p in spec.probs]).cumsum()
-        points = np.concatenate([cdf[:-1], np.arange(64) / 64])
+        points = np.concatenate([cdf[:-1], np.arange(64) / 64,
+                                 np.arange(table.size) / table.size])
         u = np.unique(np.concatenate([points, np.nextafter(points, 0),
                                       np.nextafter(points, 1)]))
         u = u[(u >= 0) & (u < 1)]
@@ -348,7 +384,9 @@ class TestSampleMatchesChoice:
                 assert size == u.size
                 return u.copy()
 
-        labels = ifs_module._label_sampler(spec)(FixedUniforms(), u.size)
+        labels = np.zeros(u.size)
+        ifs_module._add_draws(labels, np.arange(spec.n, dtype=float), table,
+                              table_cdf, FixedUniforms())
         assert np.array_equal(labels, cdf.searchsorted(u, side="right"))
 
     @settings(max_examples=15, deadline=None)
@@ -407,12 +445,14 @@ class TestTruncation:
 
 
 def fixed_point_samples(spec, depth, count, seed, r_second=None):
-    """The two samples ``fixed_point_discrepancy`` compares, drawn again."""
+    """The two samples ``fixed_point_discrepancy`` compares, drawn again
+    with ``Generator.choice``."""
     direct_ss, scaled_ss, offset_ss = np.random.SeedSequence(seed).spawn(3)
-    direct = sample(spec, depth, count, direct_ss)
-    inner = sample(spec, depth - 1, count, scaled_ss)
-    draw = ifs_module._label_sampler(spec)
-    offsets = spec.atoms_float()[draw(np.random.default_rng(offset_ss), count)]
+    direct = choice_sample(spec, depth, count, direct_ss)
+    inner = choice_sample(spec, depth - 1, count, scaled_ss)
+    probs = np.array([float(p) for p in spec.probs])
+    offsets = spec.atoms_float()[np.random.default_rng(offset_ss).choice(
+        spec.n, size=count, p=probs / probs.sum())]
     r2 = float(spec.r) if r_second is None else r_second
     return direct, r2 * inner + offsets
 
@@ -457,16 +497,29 @@ class TestFixedPoint:
             got = fixed_point_discrepancy(spec, depth, count, seed, r_second)
         assert got == float(ks_oracle(x, y)) == ks_2samp(x, y).statistic
 
-    def test_merge_holds_no_third_sample_sized_array(self):
-        # At 10^6 draws the two samples and their merge order take 32 MB;
-        # the offsets and the walk are drawn and taken in blocks.
+    @pytest.mark.parametrize("spec", TIED_SPECS)
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_apart_samples_equal_exact_statistic(self, spec, block):
+        # With r_second = 0.001 the second sample sits next to the offsets
+        # and the first on the coarse lattice, so long runs of one sample
+        # fill a window that is then taken whole.
+        for depth, count, seed in [(2, 23, 1), (3, 40, 2), (3, 17, 3)]:
+            x, y = fixed_point_samples(spec, depth, count, seed, 0.001)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ifs_module, "_BLOCK", block)
+                got = fixed_point_discrepancy(spec, depth, count, seed, 0.001)
+            assert got == float(ks_oracle(x, y))
+
+    def test_merge_holds_no_index_array(self):
+        # At 10^6 draws the two samples take 16 MB; the offsets are drawn
+        # and the merge taken in blocks, with no index array.
         tracemalloc.start()
         try:
             fixed_point_discrepancy(CANTOR, 4, 1_000_000, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40_000_000
+        assert peak <= 20_000_000
 
     def test_large_count_is_a_correctly_rounded_ratio(self):
         # Past 10,000 draws the statistic is still h/count for the integer
