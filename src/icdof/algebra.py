@@ -117,6 +117,10 @@ def terms_product(
         a, b = b, a
     if len(b) == 1:
         ((mb, cb),) = b.items()
+        if len(a) == 1:
+            ((ma, ca),) = a.items()
+            c = ca if cb == 1 else _exact(ca * cb)
+            return {tuple(map(add, ma, mb)): c}
         return {tuple(map(add, ma, mb)): _exact(ca * cb) for ma, ca in a.items()}
     out: Dict[Monomial, Rational] = {}
     get = out.get

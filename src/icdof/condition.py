@@ -101,19 +101,26 @@ def basis_values(matrix: ChannelMatrix, d: int) -> List[AlgebraElement]:
     one less and so comes earlier in graded order) times that entry.
     Arithmetic is exact, so this equals the product of powers.
     """
+    ngens = len(matrix.generators)
+    return [AlgebraElement._of(ngens, terms) for terms in _basis_terms(matrix, d)]
+
+
+def _basis_terms(matrix: ChannelMatrix, d: int) -> List[Dict]:
+    """:func:`basis_values` as term maps, for the callers that eliminate them."""
     nvars = matrix.K * (matrix.K - 1)
     check_h = [entry._terms for entry in off_diagonal(matrix)]
     if any(len(entry) != 1 for entry in check_h):
         linalg.check_columns(2 * monomial_count(nvars, d))
     monomials = enumerate_monomials(nvars, d)
     position = {mono: k for k, mono in enumerate(monomials)}
-    ngens = len(matrix.generators)
-    values = [{(0,) * ngens: 1}]
+    values = [{(0,) * len(matrix.generators): 1}]
     for mono in monomials[1:]:
-        last = max(v for v, exp in enumerate(mono) if exp)
+        last = nvars - 1
+        while not mono[last]:
+            last -= 1
         predecessor = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
         values.append(terms_product(values[position[predecessor]], check_h[last]))
-    return [AlgebraElement._of(ngens, terms) for terms in values]
+    return values
 
 
 def basis_independent(
@@ -141,7 +148,8 @@ def monomial_values(
     """The length-2*phi(d) family for one receiver (1-based index)."""
     require_receiver(matrix, receiver)
     ngens = len(matrix.generators)
-    family = _receiver_family(matrix, receiver, basis_values(matrix, d))
+    family = _receiver_family(
+        matrix.diagonal(receiver)._terms, _basis_terms(matrix, d))
     return [AlgebraElement._of(ngens, terms) for terms in family]
 
 
@@ -151,13 +159,9 @@ def require_receiver(matrix: ChannelMatrix, receiver: int) -> None:
         raise ValueError(f"receiver {receiver} out of range 1..{matrix.K}")
 
 
-def _receiver_family(
-    matrix: ChannelMatrix, receiver: int, basis: Sequence[AlgebraElement]
-) -> List[Dict]:
-    """The family as term maps: the basis values, then h_ii times each."""
-    h_ii = matrix.diagonal(receiver)._terms
-    terms = [f._terms for f in basis]
-    return terms + [terms_product(h_ii, f) for f in terms]
+def _receiver_family(h_ii: Dict, basis: List[Dict]) -> List[Dict]:
+    """The family as term maps: the basis values, then ``h_ii`` times each."""
+    return basis + [terms_product(h_ii, f) for f in basis]
 
 
 @dataclass(frozen=True)
@@ -240,23 +244,32 @@ def check_all(
     degree, with no family built.  The basis values are built once, and
     only when a requested receiver is left uncertified; then their refusals
     are the per-degree check's.  That check sends the family's term maps to
-    ``linalg.eliminate_columns``; its kernel of the first dependent value
-    is the certificate, and it equals the kernel vector of the tests' dense
-    Bareiss reference on the same family.
+    ``linalg.eliminate_columns``, with h_ii replaced by D h_ii, D the lcm of
+    h_ii's coefficient denominators, so that its products with integer
+    basis values multiply ints.  Scaling the h_ii half by D > 0 keeps the
+    rank, and maps a kernel (a, b) of the scaled family to the kernel
+    (a, D b) of the true one; the first dependence's kernel is
+    one-dimensional, so ``linalg._coprime`` of (a, D b) is the certificate,
+    and it equals the kernel vector of the tests' dense Bareiss reference on
+    the family :func:`monomial_values` returns.
     """
     receivers = range(1, matrix.K + 1) if receivers is None else receivers
     for i in receivers:
         require_receiver(matrix, i)
     off = [_gradient(entry) for entry in off_diagonal(matrix)]
     certified = [jacobian_certifies(matrix, i, off) for i in receivers]
-    basis = None if all(certified) else basis_values(matrix, d)
+    basis = None if all(certified) else _basis_terms(matrix, d)
     phi = monomial_count(matrix.K * (matrix.K - 1), d)
     verdicts = []
     for i, ok in zip(receivers, certified):
         if ok:
             verdicts.append(ReceiverVerdict(i, d, True, 2 * phi, 2 * phi))
             continue
-        rank, kernel = linalg.eliminate_columns(_receiver_family(matrix, i, basis))
+        h_ii, scale = linalg.integer_column(matrix.diagonal(i)._terms)
+        rank, kernel = linalg.eliminate_columns(_receiver_family(h_ii, basis))
+        if kernel is not None and scale != 1:
+            kernel = linalg._coprime(
+                kernel[:phi] + [scale * b for b in kernel[phi:]])
         certificate = None if kernel is None else DependenceCertificate(
             i, d, tuple(kernel[:phi]), tuple(kernel[phi:])
         )

@@ -169,7 +169,7 @@ class TestBuildAndBound:
         def refuse(*args):
             raise AssertionError("a basis value was built")
 
-        monkeypatch.setattr(condition, "basis_values", refuse)
+        monkeypatch.setattr(condition, "_basis_terms", refuse)
         code, out, _ = run(
             capsys, "build", "--channel", generic_file,
             "--degree", "4096", "--range", "2",

@@ -165,6 +165,77 @@ class TestLinalg:
         assert rank == dense.rank(integer_rows(m))
         assert kernel == dense.kernel_vector(integer_rows(m))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_eliminate_columns_matches_bareiss_at_large_magnitudes(self, data):
+        # Numerators up to 10^12 and denominators up to 10^6, with zero,
+        # repeated and combination columns inserted at drawn places: the
+        # fraction-free reduction keeps the dense Bareiss rank and kernel.
+        numerators = st.integers(-10**12, 10**12)
+        fractions = st.builds(Fraction, numerators, st.integers(1, 10**6))
+        entry = st.one_of(st.just(0), numerators, fractions)
+        rows = data.draw(st.integers(1, 5))
+        cols = data.draw(st.integers(1, 5))
+        m = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["zero", "repeat", "combination"]))
+            if kind == "zero":
+                new = [0] * rows
+            elif kind == "repeat":
+                source = data.draw(st.integers(0, cols - 1))
+                new = [row[source] for row in m]
+            else:
+                weights = [data.draw(fractions) for _ in range(cols)]
+                new = [sum(w * v for w, v in zip(weights, row)) for row in m]
+            at = data.draw(st.integers(0, cols))
+            for row, value in zip(m, new):
+                row.insert(at, value)
+            cols += 1
+        rank, kernel = linalg.eliminate_columns(sparse_columns(m, cols))
+        assert rank == dense.rank(integer_rows(m))
+        assert kernel == dense.kernel_vector(integer_rows(m))
+
+    def test_reduction_builds_no_fraction(self, monkeypatch):
+        # Fractional multi-entry columns, the last a combination of the
+        # first three: the reduction and the kernel run in ints.
+        rng = random.Random(19)
+        m = [[Fraction(rng.randrange(-99, 100), rng.randrange(1, 60))
+              for _ in range(4)] for _ in range(5)]
+        for row in m:
+            row.append(Fraction(3, 7) * row[0] - Fraction(5, 2) * row[2] + row[1])
+        columns = sparse_columns(m, 5)
+        expected = (dense.rank(integer_rows(m)), dense.kernel_vector(integer_rows(m)))
+        assert expected[1] is not None
+        made, steps = [], []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            # Python 3.12 builds arithmetic results without __new__.
+            from_ints = Fraction._from_coprime_ints.__func__
+
+            def counting_from_ints(cls, *args):
+                made.append(args)
+                return from_ints(cls, *args)
+
+            monkeypatch.setattr(
+                Fraction, "_from_coprime_ints", classmethod(counting_from_ints))
+        reduce = linalg._reduce
+
+        def counting_reduce(*args):
+            steps.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+        assert Fraction(1, 3) * 2 and made
+        made.clear()
+        assert linalg.eliminate_columns(columns) == expected
+        assert steps and not made
+
     def test_kernel_none_for_full_column_rank(self):
         assert dense.kernel_vector([[2, 0], [0, 5], [1, 1]]) is None
 
@@ -181,7 +252,7 @@ class TestEliminateOnSight:
         def refuse(*args):
             raise AssertionError("a column was reduced")
 
-        monkeypatch.setattr(linalg, "_subtract", refuse)
+        monkeypatch.setattr(linalg, "_reduce", refuse)
         monkeypatch.setattr(linalg, "ELIMINATION_COLUMN_CAP", 2)
         x1 = AlgebraElement.generator(2, 0)
         x2 = AlgebraElement.generator(2, 1)
@@ -206,7 +277,7 @@ class TestEliminateOnSight:
         dense_rows = [[3, 0, -2, 0], [0, 1, 0, 10]]
         expected = (dense.rank(dense_rows), dense.kernel_vector(dense_rows))
         assert expected == (2, [2, 0, 3, 0])
-        monkeypatch.setattr(linalg, "_subtract", _refuse("reduction"))
+        monkeypatch.setattr(linalg, "_reduce", _refuse("reduction"))
         assert linalg.eliminate_columns(columns) == expected
         report = check_all(load_channel(_product_doc()), 3)
         assert [v.rank for v in report.verdicts] == [154] * 3
@@ -311,7 +382,7 @@ class TestMonomialFamily:
             "generators": ["g", "h11", "h22"],
             "entries": [["h11", "g"], ["g", "h22"]],
         })
-        monkeypatch.setattr(linalg, "_subtract", _refuse("reduction"))
+        monkeypatch.setattr(linalg, "_reduce", _refuse("reduction"))
         with pytest.raises(CapExceededError):
             check_all(shared, 2, [1]).verdicts[0]
         verdict = check_all(generic_channel(2), 2, [1]).verdicts[0]
@@ -358,7 +429,7 @@ class TestGenericIndependence:
         def refuse(*args):
             raise AssertionError("elimination ran on a distinct single-term family")
 
-        monkeypatch.setattr(linalg, "_subtract", refuse)
+        monkeypatch.setattr(linalg, "_reduce", refuse)
         report = check_all(generic_channel(3), 3)
         assert report.independent
         assert all(v.rank == v.family_size == 168 for v in report.verdicts)
@@ -440,6 +511,22 @@ class TestDependence:
             verdict = check_all(m, d, [1]).verdicts[0]
             assert not verdict.independent
             assert verdict.certificate.is_valid(m)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fractional_multi_term_diagonal_certificate(self, d):
+        # h33 = 5/8*h21 + 8/3*h12*h13 + 7/6 is left uncertified, and its
+        # family is eliminated with h33 scaled by 24 to int coefficients.
+        # The certificate is still the Bareiss kernel of the true family.
+        m = _with_h(3, (3, 3), "5/8*h21 + 8/3*h12*h13 + 7/6")
+        family = monomial_values(m, d, 3)
+        phi = monomial_count(6, d)
+        assert family[phi:] == [m.diagonal(3) * f for f in family[:phi]]
+        rows = dense.integer_columns(family)
+        verdict = check_all(m, d, [3]).verdicts[0]
+        assert verdict.rank == dense.rank(rows) < 2 * phi
+        cert = verdict.certificate
+        assert list(cert.a + cert.b) == dense.kernel_vector(rows)
+        assert any(cert.b) and cert.is_valid(m)
 
     def test_certificate_nonzero_and_coprime(self):
         import math
@@ -536,7 +623,7 @@ class TestJacobianCertificate:
         def refuse(*args):
             raise AssertionError("a monomial family was built")
 
-        monkeypatch.setattr(condition, "basis_values", refuse)
+        monkeypatch.setattr(condition, "_basis_terms", refuse)
         monkeypatch.setattr(condition, "enumerate_monomials", refuse)
         monkeypatch.setattr(algebra, "enumerate_monomials", refuse)
         monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
@@ -563,7 +650,7 @@ class TestJacobianCertificate:
         def refuse(*args):
             raise AssertionError("a monomial family was built")
 
-        monkeypatch.setattr(condition, "basis_values", refuse)
+        monkeypatch.setattr(condition, "_basis_terms", refuse)
         monkeypatch.setattr(algebra, "enumerate_monomials", refuse)
         m = generic_channel(3)
         size = 2 * math.comb(6 + d, 6)
@@ -598,7 +685,7 @@ class TestJacobianCertificate:
         m = _four_entry_channel()
         with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
             check_all(m, 8)
-        monkeypatch.setattr(condition, "basis_values", _refuse("a basis"))
+        monkeypatch.setattr(condition, "_basis_terms", _refuse("a basis"))
         report = check_all(m, 8, [2])
         assert [v.receiver for v in report.verdicts] == [2]
         assert report.independent
@@ -623,8 +710,8 @@ class TestJacobianCertificate:
         assert [jacobian_certifies(m, i) for i in (1, 2, 3)] == [True, False, True]
         assert jacobian_certifies(m)
         built = []
-        original = condition.basis_values
-        monkeypatch.setattr(condition, "basis_values",
+        original = condition._basis_terms
+        monkeypatch.setattr(condition, "_basis_terms",
                             lambda *args: built.append(args) or original(*args))
         for d in range(4):
             report = check_all(m, d)
