@@ -48,10 +48,6 @@ def monomial_key(mono: Monomial) -> Tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 def monomial_count(m: int, d: int) -> int:
     """Number of monomials in ``m`` variables of total degree <= ``d``.
 
@@ -212,12 +208,6 @@ class AlgebraElement:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not constant")
         return next(iter(self._terms.values()), 0)
-
-    def single_term(self) -> Tuple[Monomial, Rational] | None:
-        """The (monomial, coefficient) pair if this has exactly one term."""
-        if len(self._terms) == 1:
-            return next(iter(self._terms.items()))
-        return None
 
     # -- arithmetic --------------------------------------------------------
 

@@ -7,11 +7,12 @@ letters, and turn their entropies into the per-receiver dimension terms and
 the total DoF lower bound at contraction parameter r_N = |W_N|^(-2).
 
 W_N is a value of (channel, d, N, size); its basis values and letters
-are built on first read, by the waived coordinate path, the sum laws,
-``to_ifs`` and the rank test of a basis the Jacobian leaves uncertified.
-A certified channel reads none, so its |W_N| = N^phi is sized at any d.
-The support cap ``DEFAULT_SUPPORT_CAP`` is checked where a support is
-materialized (the N^phi letters, a sumset, a dense scaled-uniform law).
+are built on first read, by the waived sum laws (letters only when W_N
+collides), ``to_ifs`` and the rank test of a basis the Jacobian leaves
+uncertified.  A certified channel reads none, so its |W_N| = N^phi is
+sized at any d.  The support cap ``DEFAULT_SUPPORT_CAP`` is checked where
+a support is materialized (the N^phi letters, a sumset, a dense
+scaled-uniform law).
 
 A gated call (condition (*) passed at degree d+1) takes its bound from
 the multiplicity profile of (K, d) alone, by :func:`profile_bound`.  It is
@@ -22,20 +23,17 @@ desired coordinates are separate.  A waived call runs the exact
 per-channel path below, the only path for a dependent channel and the
 oracle the tests hold the profile to.
 
-The exact path convolves integer codes (each addend h_ij w packed into one
-integer, mixed radix over its scaled monomial coordinates, injective on
-every partial sum, so numpy adds codes and merges equal ones), or, for
-single-term entries and basis values and a unique representation, sums
-coordinate entropies: each monomial coordinate of the received sum is a
-sum of independent scaled uniforms over disjoint letter coefficients.  The
-tests cross-check the two.  Every sum of scaled uniforms (the profile, the
-exact path, the rational example) is read by ``_scaled_uniform_law`` from
-one integer kernel, which refuses a law past the support cap before
-allocating it.  The law is a palindrome, so the kernel writes only its
-first half, taking each cumulative sum in place on the previous law: the
-previous law and the half-law are what is held.  The sorted half is folded
-``_BLOCK`` entries at a time, libm logs of whole runs with the left fold's
-sum carried from block to block, so every bit is the whole law's.
+The exact path splits the received sum into independent components
+(:func:`sum_entropy_stats`), each a sum of scaled uniforms or convolved in
+integer codes (:func:`_sum_law`), as a colliding W_N's whole sum is.  Every
+sum of scaled uniforms (the profile, the exact path, the rational example)
+is read by ``_scaled_uniform_law`` from one integer kernel, which refuses a
+law past the support cap before allocating it.  The law is a palindrome, so
+the kernel writes only its first half, taking each cumulative sum in place
+on the previous law: the previous law and the half-law are what is held.
+The sorted half is folded ``_BLOCK`` entries at a time, libm logs of whole
+runs with the left fold's sum carried from block to block, so every bit is
+the whole law's.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
 for the bound and the sweep.  Containment is W_N's independence test, of
@@ -61,11 +59,10 @@ from .algebra import (
     capped_monomial_count,
     monomial_count,
     monomial_key,
-    monomial_mul,
 )
 from .channel import ChannelMatrix, fully_connected, integer_offdiag_channel
 from .errors import CapExceededError
-from . import condition as condition_mod
+from . import condition as condition_mod, linalg
 from .ifs import IFSSpec
 
 #: Cap on materialized support sizes (alphabets and sum supports).
@@ -264,7 +261,7 @@ class SumsetDistribution:
     """Exact finite law over polynomial values, stored as integer codes.
 
     ``_codes`` are the distinct packed values of the sum (see
-    :func:`sumset_distribution`) and ``_weights[k]`` counts the letter tuples
+    :func:`_sum_law`) and ``_weights[k]`` counts the tuples
     whose sum packs to ``_codes[k]``.  ``counts``, keyed by the polynomial
     value itself, is decoded from the codes on first read; the entropy and
     the support size never decode.
@@ -299,29 +296,26 @@ class SumsetDistribution:
         return entropy_from_counts(self._weights, self.total)
 
 
-def _participants(matrix: ChannelMatrix, receiver: int, include_diagonal: bool):
+def _entries(matrix: ChannelMatrix, receiver: int, include_diagonal: bool):
     condition_mod.require_receiver(matrix, receiver)
-    return [
-        j
-        for j in range(1, matrix.K + 1)
-        if include_diagonal or j != receiver
-    ]
+    return [matrix.entry(receiver, j) for j in range(1, matrix.K + 1)
+            if include_diagonal or j != receiver]
 
 
 def _pack(addends: List[List[AlgebraElement]], ngens: int):
     """Integer codes of every addend, the code span, and the code decoder.
 
-    Row k of the coordinate vectors (monomial k) is scaled by the lcm of its
-    coefficient denominators, so every coordinate is an integer and the
-    scaling is a bijection.  Participant j's coordinate k lies in
-    [lo_jk, hi_jk], so every partial sum (the empty one included) has its
-    coordinate k in [L_k, H_k] = [sum_j min(lo_jk, 0), sum_j max(hi_jk, 0)].
+    Monomial k's coordinates are scaled by the lcm of their denominators, so
+    every coordinate is an integer and the scaling is a bijection.  The
+    addends of row j have coordinate k in [lo_jk, hi_jk], so every partial
+    sum (the empty one included) has its coordinate k in
+    [L_k, H_k] = [sum_j min(lo_jk, 0), sum_j max(hi_jk, 0)].
     The code sum_k v_k R_k, with R_k the product of the radices
     H_k' - L_k' + 1 for k' < k, is mixed radix with digits v_k - L_k on that
     box (shifted by the constant sum_k L_k R_k), so it is injective on every
     partial sum; it is linear, so the code of a sum is the sum of the codes.
     Returns ``(codes, span, decode)``: ``codes[j][a]`` codes the a-th addend
-    of participant j and every code of a partial sum lies in (-span, span).
+    of row j and every code of a partial sum lies in (-span, span).
     """
     term_maps = [[y.terms for y in row] for row in addends]
     monomials = sorted({m for row in term_maps for t in row for m in t},
@@ -394,27 +388,12 @@ def _add_step(codes: np.ndarray, weights: np.ndarray, step: np.ndarray):
     return out_codes, out_weights
 
 
-def sumset_distribution(
-    matrix: ChannelMatrix,
-    receiver: int,
-    include_diagonal: bool,
-    construction: InputConstruction,
-) -> SumsetDistribution:
-    """Law of sum_j h_ij W_j over independent uniform letters, by convolution.
-
-    Each addend h_ij w is packed into one integer by :func:`_pack`, whose
-    code is linear and injective on every partial sum, so adding codes and
-    merging equal ones is the exact convolution of the polynomial values.
-    Codes and counts are int64 while the code span and the tuple count are
-    below 2^62 (no sum can overflow), and Python ints in object arrays past
-    that.
-    """
-    addends = [
-        [matrix.entry(receiver, j) * w for w in construction.elements]
-        for j in _participants(matrix, receiver, include_diagonal)
-    ]
-    steps, span, decode = _pack(addends, len(matrix.generators))
-    total = construction.cardinality ** len(addends)
+def _sum_law(addends: List[List[AlgebraElement]], ngens: int) -> SumsetDistribution:
+    """Law of the sum of one uniform pick per row, by adding and merging
+    :func:`_pack`'s codes: int64, as are the counts, while the code span and
+    the tuple count are below 2^62 (no sum overflows), else Python ints."""
+    steps, span, decode = _pack(addends, ngens)
+    total = math.prod(map(len, addends))
     code_type = np.int64 if span < _INT64_LIMIT else object
     count_type = np.int64 if total < _INT64_LIMIT else object
     codes = np.zeros(1, dtype=code_type)
@@ -424,43 +403,42 @@ def sumset_distribution(
     return SumsetDistribution(codes, weights, total, decode)
 
 
-# -- coordinate-decomposition fast path ------------------------------------
-
-
-def _coordinate_layout(
+def sumset_distribution(
     matrix: ChannelMatrix,
     receiver: int,
     include_diagonal: bool,
     construction: InputConstruction,
-):
-    """Monomial -> list of scaling coefficients, or None if ineligible.
+) -> SumsetDistribution:
+    """Law of sum_j h_ij W_j over independent uniform letters."""
+    return _sum_law(
+        [[h * w for w in construction.elements]
+         for h in _entries(matrix, receiver, include_diagonal)],
+        len(matrix.generators),
+    )
 
-    Eligible when every participating entry h_ij and every basis value f_l
-    (read, and so built, here) is a single term and W_N has a unique
-    representation.  Then letters are in bijection with coefficient
-    vectors, so a uniform letter W_j has i.i.d. uniform coefficients
-    a_{j,l}, and the received sum is
-    sum_{j,l} a_{j,l} h_ij f_l.  Each product h_ij f_l is one term, so each
-    a_{j,l} lands, scaled, on exactly one monomial: the coordinates are
-    sums of scaled uniforms over disjoint sets of independent a's, hence
-    independent.  Basis monomials may repeat (f = g and 2g at N = 2); the
-    two a's then share a coordinate.
-    """
-    if not construction.unique_representation:
-        return None
-    basis_terms = [f.single_term() for f in construction.basis]
-    if None in basis_terms:
-        return None
-    layout: Dict[tuple, List[Fraction]] = {}
-    for j in _participants(matrix, receiver, include_diagonal):
-        entry_term = matrix.entry(receiver, j).single_term()
-        if entry_term is None:
-            return None
-        h_mono, h_coeff = entry_term
-        for f_mono, f_coeff in basis_terms:
-            mono = monomial_mul(h_mono, f_mono)
-            layout.setdefault(mono, []).append(h_coeff * f_coeff)
-    return layout
+
+def _components(addends: Sequence[AlgebraElement]):
+    """(monomials, addends) of each class of nonzero addends linked by
+    shared monomials, by least monomial."""
+    parent = {}
+
+    def root(mono):
+        while parent.setdefault(mono, mono) != mono:
+            parent[mono] = parent[parent[mono]]
+            mono = parent[mono]
+        return mono
+
+    addends = [y for y in addends if not y.is_zero()]
+    for y in addends:
+        first, *rest = y.terms
+        for mono in rest:
+            parent[root(mono)] = root(first)
+    groups = {}
+    for y in addends:
+        monomials, members = groups.setdefault(root(next(iter(y.terms))), (set(), []))
+        monomials.update(y.terms)
+        members.append(y)
+    return sorted(groups.values(), key=lambda g: min(map(monomial_key, g[0])))
 
 
 def _convolve_scaled_uniform(coeffs: Sequence[int], N: int, stop=None) -> np.ndarray:
@@ -542,23 +520,42 @@ def sum_entropy_stats(
 ) -> Tuple[float, int]:
     """(entropy in bits, exact support cardinality) of the received sum.
 
-    Uses the coordinate decomposition when eligible, else materializes the
-    exact convolution (subject to the support cap).  A coordinate
-    sum_t c_t U_t, U_t uniform on {1..N}, shifts the sum over {0..N-1}, so
-    its law is read once per distinct :func:`_signature` in the call.  The
-    per-coordinate entropies are added in monomial order.
+    With W_N's representation unique, a uniform letter W_j has i.i.d.
+    uniform coefficients a_{j,l} on {1..N}: the sum is
+    sum_{j,l} a_{j,l} h_ij f_l, and addends sharing a monomial are linked
+    (:func:`_components`).  Components use disjoint a's, so are independent,
+    and disjoint monomials, so the sum fixes each: entropies add (from the
+    left, by least monomial), supports multiply.  A one-monomial component
+    the kernel's width admits is read once per :func:`_signature`; any other
+    is convolved on its own a's, rows [a y for a in 1..N], unless N^rank
+    (r independent addends alone take N^r values) passes the support cap.
+    A colliding W_N's letters are not coefficient vectors: its sum is
+    convolved whole.
     """
-    layout = _coordinate_layout(matrix, receiver, include_diagonal, construction)
-    if layout is None:
+    if not construction.unique_representation:
         dist = sumset_distribution(matrix, receiver, include_diagonal, construction)
         return dist.entropy_bits, dist.support_size
     N = construction.coeff_range
     law = functools.cache(lambda signature: _scaled_uniform_law(signature, N))
+    addends = [h * f for h in _entries(matrix, receiver, include_diagonal)
+               for f in construction.basis]
     entropy = 0.0
     support = 1
-    for mono in sorted(layout, key=monomial_key):
-        h, size = law(_signature(layout[mono]))
-        entropy += h
+    for monomials, members in _components(addends):
+        signature = _signature([c for y in members for c in y.terms.values()])
+        if len(monomials) == 1 and (N - 1) * sum(signature) < DEFAULT_SUPPORT_CAP:
+            bits, size = law(signature)
+        else:
+            size = N ** len(members)
+            if size > DEFAULT_SUPPORT_CAP:
+                size = N ** linalg.eliminate_columns([y.terms for y in members])[0]
+            if size > DEFAULT_SUPPORT_CAP:
+                raise CapExceededError("component support (>= N^rank)",
+                                       size, DEFAULT_SUPPORT_CAP)
+            dist = _sum_law([[y.scale(a) for a in range(1, N + 1)] for y in members],
+                            len(matrix.generators))
+            bits, size = dist.entropy_bits, dist.support_size
+        entropy += bits
         support *= size
     return entropy, support
 

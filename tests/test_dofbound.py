@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
 from icdof.channel import (
@@ -893,17 +893,6 @@ def multi_term_docs(draw):
             "entries": [entries[i:i + 3] for i in range(0, 9, 3)]}
 
 
-@st.composite
-def one_multi_term_entry_docs(draw):
-    """Generic K=3 with one entry a polynomial of 2 terms."""
-    names = _names(3)
-    entries = list(names)
-    k = draw(st.integers(0, 8))
-    entries[k] = _polynomial(draw, names[k], names, 1, 1)
-    return {"K": 3, "generators": names,
-            "entries": [entries[i:i + 3] for i in range(0, 9, 3)]}
-
-
 def _passes_gate(doc, d):
     matrix = load_channel(doc)
     return matrix if condition.check_all(matrix, d + 1).independent else None
@@ -946,18 +935,25 @@ class TestProfileBound:
         assume(matrix is not None)
         self._assert_matches_exact(matrix, 0, N)
 
-    # The exact laws of a multi-term channel at (1, 2) are materialized
-    # convolutions over 128^3 letter tuples, 0.3-6 s for one two-term entry
-    # and about 10 s for three entries, so these draws change one entry.
-    @settings(max_examples=2, deadline=None)
-    @given(one_multi_term_entry_docs())
+    # The exact laws split into components on disjoint monomials, each
+    # convolved on its own coefficients, so d=2 and N=4 are in reach.  About
+    # one draw in ten links a component of 10^4 to 10^81 coefficient tuples;
+    # its law is computed under a support cap of 10^5, so that every example
+    # stays small, and a draw the exact path refuses there is rejected.
+    @settings(max_examples=25, deadline=None)
+    @given(multi_term_docs(), st.integers(1, 2), st.integers(2, 4))
     @example({"K": 3, "generators": _names(3),
               "entries": [["h11", "h12 + h13", "h13"], ["h21", "h22", "h23"],
-                          ["h31", "h32", "h33"]]})
-    def test_multi_term_k3_degree_one(self, doc):
-        matrix = _passes_gate(doc, 1)
+                          ["h31", "h32", "h33"]]}, 1, 2)
+    def test_multi_term_k3_degree_one(self, doc, d, N):
+        matrix = _passes_gate(doc, d)
         assume(matrix is not None)
-        self._assert_matches_exact(matrix, 1, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dofbound, "DEFAULT_SUPPORT_CAP", 10**5)
+            try:
+                self._assert_matches_exact(matrix, d, N)
+            except CapExceededError:
+                reject()
 
     def test_k3_closed_form(self):
         # total = (3d/(d+6)) (2 log2 N - H_2(N)) / (2 log2 N), with H_2 the

@@ -153,6 +153,15 @@ CASES = {
     "bound multi3 d=0 N=4": lambda w: _report(
         w, "bound", "multi3", "--degree", "0", "--range", "4",
         "--waive-condition"),
+    # Waived multi-term cells past d=0: receiver 3 fails (*) from d=2.
+    **{
+        f"bound multi3 d={d} N={N}": (
+            lambda w, d=d, N=N: _report(
+                w, "bound", "multi3", "--degree", str(d), "--range", str(N),
+                "--waive-condition")
+        )
+        for d, N in ((1, 2), (2, 5))
+    },
     "bound shared2 d=1 N=2": lambda w: _report(
         w, "bound", "shared2", "--degree", "1", "--range", "2",
         "--waive-condition"),

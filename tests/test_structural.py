@@ -12,14 +12,22 @@ term-by-term Fraction expansion of the products of powers that the basis,
 the receiver family and the certificate substitution build from term maps.
 """
 
+import functools
 import itertools
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from icdof import condition
-from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
+from icdof import condition, dofbound
+from icdof.algebra import (
+    AlgebraElement,
+    enumerate_monomials,
+    monomial_count,
+    monomial_key,
+)
 from icdof.channel import ChannelMatrix, load_channel, off_diagonal
 from icdof.condition import (
     basis_values,
@@ -29,14 +37,15 @@ from icdof.condition import (
 )
 from icdof.dofbound import (
     ContainmentResult,
-    _coordinate_layout,
     _enumerate_letters,
     build_w_n,
     containment_check,
+    dof_lower_bound,
     entropy_from_counts,
     sum_entropy_stats,
     sumset_distribution,
 )
+from icdof.errors import CapExceededError
 import reference_linalg as dense
 from test_dofbound import (
     brute_force_sum_counts,
@@ -246,12 +255,13 @@ class TestTermMapFamilies:
 def coordinate_cases(draw):
     """(channel, d, N, receiver, include_diagonal) with a small exact oracle.
 
-    Single-term entries with rational coefficients of either sign.  Only on
-    a shared generator pool can several terms land on one coordinate at
-    these sizes, so that kind is drawn twice as often.
+    Single-term entries with rational coefficients of either sign, and
+    entries of up to three terms.  Only on a shared generator pool can
+    several single terms land on one monomial at these sizes, so that kind
+    is drawn twice as often.
     """
     K = draw(st.sampled_from([2, 3]))
-    kind = draw(st.sampled_from(["single", "shared", "shared"]))
+    kind = draw(st.sampled_from(["single", "shared", "shared", "multi"]))
     matrix = draw(channels(kind, K))
     d = draw(st.integers(0, 2 if K == 2 else 0))
     N = draw(st.integers(1, 2 if d == 2 else 3 if K == 2 else 4))
@@ -262,12 +272,112 @@ REPEATED_MONOMIAL_K2 = load_channel({
     "K": 2, "generators": ["g", "h11", "h22"],
     "entries": [["h11", "g"], ["2*g", "h22"]]})
 
+#: multi3 of the goldens: multi-term diagonal entries, generic elsewhere.
+MULTI3 = load_channel({
+    "K": 3, "generators": [f"h{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)],
+    "entries": [["h11 + 2/3", "h12", "h13"], ["h21", "h22 + 5/7*h11", "h23"],
+                ["h31", "h32", "3/4*h12*h13 + 7/2*h21"]]})
+
+
+def count_laws(monkeypatch):
+    """Spy on the scaled-uniform kernel and the convolution of a component:
+    the kernel's signatures, and each convolution's row count and widest
+    partial law in codes."""
+    kernel_calls, laws = [], []
+    kernel, sum_law, add_step = (dofbound._convolve_scaled_uniform,
+                                 dofbound._sum_law, dofbound._add_step)
+
+    def spy_kernel(coeffs, N, stop=None):
+        kernel_calls.append(tuple(coeffs))
+        return kernel(coeffs, N, stop)
+
+    def spy_sum_law(addends, ngens):
+        laws.append([len(addends), 1])
+        return sum_law(addends, ngens)
+
+    def spy_add_step(codes, weights, step):
+        out = add_step(codes, weights, step)
+        laws[-1][1] = max(laws[-1][1], len(out[0]))
+        return out
+
+    monkeypatch.setattr(dofbound, "_convolve_scaled_uniform", spy_kernel)
+    monkeypatch.setattr(dofbound, "_sum_law", spy_sum_law)
+    monkeypatch.setattr(dofbound, "_add_step", spy_add_step)
+    return kernel_calls, laws
+
 
 class TestCoordinateEntropies:
-    def test_repeated_basis_monomial_is_eligible(self):
+    def test_repeated_basis_monomial_one_kernel_call_per_component(
+            self, monkeypatch):
+        # Basis {1, g, 2g}: receiver 1's interference a1 g + (a2 + 2 a3) g^2
+        # is two one-monomial components, read by the kernel alone.
         c = build_w_n(REPEATED_MONOMIAL_K2, 1, 2)
         assert c.cardinality == 8 and c.unique_representation
-        assert _coordinate_layout(REPEATED_MONOMIAL_K2, 1, True, c) is not None
+        want = [(d.entropy_bits, d.support_size) for d in (
+            sumset_distribution(REPEATED_MONOMIAL_K2, 1, diagonal, c)
+            for diagonal in (False, True))]
+        kernel_calls, laws = count_laws(monkeypatch)
+        assert sum_entropy_stats(REPEATED_MONOMIAL_K2, 1, False, c) == want[0]
+        assert kernel_calls == [(1,), (1, 2)] and laws == []
+        # The diagonal adds b1 h11 + (b2 + 2 b3) h11 g: the same signatures.
+        kernel_calls.clear()
+        entropy, support = sum_entropy_stats(REPEATED_MONOMIAL_K2, 1, True, c)
+        assert support == want[1][1] and abs(entropy - want[1][0]) <= 1e-12
+        assert kernel_calls == [(1,), (1, 2)] and laws == []
+
+    def test_multi_term_waived_bound_reads_no_letter(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a letter of W_N was built")
+
+        monkeypatch.setattr(dofbound, "_enumerate_letters", refuse)
+        # (1, 3) is refused at the sumset cap when the sum is convolved whole
+        report = dof_lower_bound(MULTI3, 1, 3, waive_condition=True)
+        assert report.cardinality == (3, 7)
+        assert report.total == 0.13151711938775823
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (3, 2), (6, 2)])
+    def test_no_law_wider_than_its_component(self, monkeypatch, d, N):
+        c = build_w_n(MULTI3, d, N)
+        kernel_calls, laws = count_laws(monkeypatch)
+        for diagonal in (False, True):
+            sum_entropy_stats(MULTI3, 3, diagonal, c)
+        assert laws and kernel_calls
+        assert all(1 < widest <= N ** rows for rows, widest in laws)
+        # the joint law of the full sum has N^(3 phi) tuples
+        assert max(rows for rows, _ in laws) < 3 * c.phi
+
+    @pytest.mark.parametrize("h12,refused", [("x + 2*z", True),
+                                             ("2*x + 2*z", False)])
+    def test_component_past_the_cap_by_rank_refused_unconvolved(
+            self, monkeypatch, h12, refused):
+        # The full sum at receiver 1 is one component of 3^2 tuples, past a
+        # cap of 7.  Of rank 2 it has 9 points and is refused before any law
+        # is built; of rank 1 it is (a1 + 2 a2)(x + z), 7 points, convolved.
+        m = load_channel({"K": 2, "generators": ["x", "z", "h21", "h22"],
+                          "entries": [["x + z", h12], ["h21", "h22"]]})
+        c = build_w_n(m, 0, 3)
+        want = sumset_distribution(m, 1, True, c)
+        monkeypatch.setattr(dofbound, "DEFAULT_SUPPORT_CAP", 7)
+        _, laws = count_laws(monkeypatch)
+        if refused:
+            with pytest.raises(CapExceededError, match=r"rank.*size 9 exceeds cap 7"):
+                sum_entropy_stats(m, 1, True, c)
+            assert laws == []
+        else:
+            assert sum_entropy_stats(m, 1, True, c) == (want.entropy_bits, 7)
+            assert laws == [[2, 7]]
+
+    def test_monomial_past_the_kernel_width_convolved(self, monkeypatch):
+        # Basis {1, 10^8 g, x + y}: each of receiver 1's three components
+        # is a1 y + 10^8 b1 y, a kernel law 10^8 + 2 wide, past the support
+        # cap, yet four points, so it is convolved.
+        m = load_channel({"K": 2, "generators": ["g", "x", "y", "h22"],
+                          "entries": [["g", "100000000*g"], ["x + y", "h22"]]})
+        c = build_w_n(m, 1, 2)
+        want = sumset_distribution(m, 1, True, c)
+        kernel_calls, laws = count_laws(monkeypatch)
+        assert sum_entropy_stats(m, 1, True, c) == (want.entropy_bits, 64)
+        assert kernel_calls == [] and laws == [[2, 4]] * 3
 
     @settings(max_examples=100, deadline=None)
     @given(coordinate_cases())
@@ -279,7 +389,6 @@ class TestCoordinateEntropies:
     def test_coordinate_path_matches_materialized_law(self, case):
         matrix, d, N, receiver, include_diagonal = case
         c = build_w_n(matrix, d, N)
-        assume(_coordinate_layout(matrix, receiver, include_diagonal, c) is not None)
         entropy, support = sum_entropy_stats(matrix, receiver, include_diagonal, c)
         dist = sumset_distribution(matrix, receiver, include_diagonal, c)
         assert support == dist.support_size
@@ -300,6 +409,33 @@ def sum_law_cases(draw):
     return matrix, d, N, draw(st.integers(1, K)), draw(st.booleans())
 
 
+def component_counts(matrix, receiver, include_diagonal, construction):
+    """Oracle: the addends h_ij f_l grouped by shared monomials, merged
+    class by class, each class's counts of sum_k a_k y_k enumerated over
+    every a in {1..N}^k, by least monomial."""
+    participants = [j for j in range(1, matrix.K + 1)
+                    if include_diagonal or j != receiver]
+    classes = []
+    for j in participants:
+        for f in construction.basis:
+            y = matrix.entry(receiver, j) * f
+            monomials, members = set(y.terms), [y]
+            for other in [k for k in classes if k[0] & monomials]:
+                classes.remove(other)
+                monomials |= other[0]
+                members += other[1]
+            classes.append((monomials, members))
+    classes.sort(key=lambda k: min(map(monomial_key, k[0])))
+    zero = AlgebraElement.zero(len(matrix.generators))
+    N = construction.coeff_range
+    return [
+        Counter(sum((y.scale(a) for y, a in zip(members, combo)), zero)
+                for combo in itertools.product(range(1, N + 1),
+                                               repeat=len(members)))
+        for _, members in classes
+    ]
+
+
 class TestSumLaws:
     @settings(max_examples=100, deadline=None)
     @given(sum_law_cases())
@@ -314,8 +450,18 @@ class TestSumLaws:
         assert dist.entropy_bits == h_oracle
         entropy, support = sum_entropy_stats(matrix, receiver, include_diagonal, c)
         assert support == len(oracle)
-        if _coordinate_layout(matrix, receiver, include_diagonal, c) is None:
+        parts = component_counts(matrix, receiver, include_diagonal, c)
+        if len(parts) == 1 or not c.unique_representation:
             assert entropy == h_oracle
+        else:
+            # A split sum's entropy is the sum of its components', added in
+            # another order than the joint law's terms: equal bits to that
+            # sum, and the joint law's within rounding.
+            event("sum splits")
+            assert entropy == functools.reduce(operator.add, (
+                entropy_from_counts(p.values(), sum(p.values())) for p in parts),
+                0.0)
+            assert abs(entropy - h_oracle) <= 1e-12
 
 
 @st.composite
