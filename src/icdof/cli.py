@@ -378,15 +378,15 @@ def cmd_sweep(args) -> int:
     header = ["degree", "coeff_range", "cardinality", "log_inv_r", "total",
               "interference_ratio_bound"]
     rows = [
-        [c.degree, c.coeff_range, _size_fields(c.cardinality)["cardinality"],
-         c.log_inv_r, c.total, c.interference_ratio_bound]
-        for c in cells
+        [r.degree, r.coeff_range, _size_fields(r.cardinality)["cardinality"],
+         r.log_inv_r, r.total, r.interference_ratio_bound]
+        for r, _ in cells
     ]
     _emit(_csv_payload(manifest, header, rows), args.out)
     if args.out:
         summary = dict(manifest)
         summary["wall_clock_s"] = time.perf_counter() - started
-        summary["cell_seconds"] = [c.seconds for c in cells]
+        summary["cell_seconds"] = [seconds for _, seconds in cells]
         sys.stdout.write(_dump_json({"manifest": summary, "out": str(args.out)}))
     return 0
 

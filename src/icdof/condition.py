@@ -18,7 +18,8 @@ columns whose rank decides independence over the rationals.  The
 eliminator owns the elimination cap and the single-entry rule: a
 single-term channel's family is decided from its monomials alone, its rank
 the number of distinct ones.  A product of multi-term entries is not
-expanded for a family past that cap.  A failed check returns an explicit
+expanded for a family past that cap: phi(d) columns for the basis values
+alone, 2 phi(d) for a receiver's family.  A failed check returns an explicit
 integer certificate that substitutes back to the exact zero polynomial; the
 substitution builds only the family values the certificate weighs.  An
 "independent" verdict from the check is certified only up to the tested
@@ -27,7 +28,7 @@ degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -106,11 +107,16 @@ def basis_values(matrix: ChannelMatrix, d: int) -> List[AlgebraElement]:
 
 
 def _basis_terms(matrix: ChannelMatrix, d: int) -> List[Dict]:
-    """:func:`basis_values` as term maps, for the callers that eliminate them."""
+    """:func:`basis_values` as term maps, for the callers that eliminate them.
+
+    The cap counts the phi columns built here, which is what
+    :func:`basis_independent` eliminates; :func:`check_all`, which
+    eliminates 2 phi, checks those before it calls this.
+    """
     nvars = matrix.K * (matrix.K - 1)
     check_h = [entry._terms for entry in off_diagonal(matrix)]
     if any(len(entry) != 1 for entry in check_h):
-        linalg.check_columns(2 * monomial_count(nvars, d))
+        linalg.check_columns(monomial_count(nvars, d))
     monomials = enumerate_monomials(nvars, d)
     position = {mono: k for k, mono in enumerate(monomials)}
     values = [{(0,) * len(matrix.generators): 1}]
@@ -220,6 +226,9 @@ class ReceiverVerdict:
     rank: int
     family_size: int
     certificate: DependenceCertificate | None = None
+    # From the Jacobian certificate, so it holds at every degree; not part
+    # of the verdict's value, which is the per-degree check's.
+    every_degree: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -241,10 +250,12 @@ def check_all(
     Each receiver is range-checked before any work.  The off-diagonal
     gradients are taken once.  A receiver that :func:`jacobian_certifies`
     is independent at every degree: its verdict counts phi(d), at any
-    degree, with no family built.  The basis values are built once, and
-    only when a requested receiver is left uncertified; then their refusals
-    are the per-degree check's.  That check sends the family's term maps to
-    ``linalg.eliminate_columns``, with h_ii replaced by D h_ii, D the lcm of
+    degree, with no family built, and records ``every_degree``, which
+    equality ignores.  The basis values are built once, and only when a
+    requested receiver is left uncertified; then the family's 2 phi(d)
+    columns are checked against the elimination cap before any product of
+    multi-term entries is expanded.  The check sends the family's term maps
+    to ``linalg.eliminate_columns``, with h_ii replaced by D h_ii, D the lcm of
     h_ii's coefficient denominators, so that its products with integer
     basis values multiply ints.  Scaling the h_ii half by D > 0 keeps the
     rank, and maps a kernel (a, b) of the scaled family to the kernel
@@ -256,14 +267,20 @@ def check_all(
     receivers = range(1, matrix.K + 1) if receivers is None else receivers
     for i in receivers:
         require_receiver(matrix, i)
-    off = [_gradient(entry) for entry in off_diagonal(matrix)]
+    entries = off_diagonal(matrix)
+    off = [_gradient(entry) for entry in entries]
     certified = [jacobian_certifies(matrix, i, off) for i in receivers]
-    basis = None if all(certified) else _basis_terms(matrix, d)
     phi = monomial_count(matrix.K * (matrix.K - 1), d)
+    basis = None
+    if not all(certified):
+        if any(len(entry._terms) != 1 for entry in entries):
+            linalg.check_columns(2 * phi)
+        basis = _basis_terms(matrix, d)
     verdicts = []
     for i, ok in zip(receivers, certified):
         if ok:
-            verdicts.append(ReceiverVerdict(i, d, True, 2 * phi, 2 * phi))
+            verdicts.append(ReceiverVerdict(
+                i, d, True, 2 * phi, 2 * phi, every_degree=True))
             continue
         h_ii, scale = linalg.integer_column(matrix.diagonal(i)._terms)
         rank, kernel = linalg.eliminate_columns(_receiver_family(h_ii, basis))
@@ -279,14 +296,15 @@ def check_all(
     return ConditionReport(d, tuple(verdicts))
 
 
-def require_independent(matrix: ChannelMatrix, degree: int) -> None:
+def require_independent(matrix: ChannelMatrix, degree: int) -> bool:
     """The condition gate: raise unless every receiver family is independent.
 
     Raises :class:`ConditionNotSatisfiedError` carrying the
     :func:`check_all` report over every receiver (and so the certificate)
     at ``degree``.  A channel whose every receiver :func:`jacobian_certifies`
-    passes with no family built, at any degree; any other is checked at
-    ``degree`` alone.
+    passes with no family built, at any degree, and the gate returns True:
+    its pass covers every degree.  Any other is checked at ``degree``
+    alone, and a pass returns False.
 
     ``build`` gates at d: the letters of W_N are integer combinations of the
     degree-<=d basis values, and their representation is unique (|W_N| =
@@ -305,3 +323,4 @@ def require_independent(matrix: ChannelMatrix, degree: int) -> None:
             "waive the condition (--waive-condition) to proceed anyway",
             report,
         )
+    return all(v.every_degree for v in report.verdicts)

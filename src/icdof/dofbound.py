@@ -36,11 +36,13 @@ runs with the left fold's sum carried from block to block, so every bit is
 the whole law's.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep.  Containment is W_N's independence test, of
-the degree-(d+1) basis values; once they are independent, the argument of
-:func:`profile_bound` places the support in the degree-(d+1) lattice box
-and gives its size from the multiplicity profile.  It reads no support
-element, builds no W_N and computes no sum law.
+for the bound and the sweep; the sweep asks it at each degree until a pass
+covers every degree, and its cells are the bound's reports.  Containment
+is W_N's independence test, of the degree-(d+1) basis values; once they
+are independent, the argument of :func:`profile_bound` places the support
+in the degree-(d+1) lattice box and gives its size from the multiplicity
+profile.  It reads no support element, builds no W_N and computes no sum
+law.
 """
 
 from __future__ import annotations
@@ -790,30 +792,20 @@ def dof_lower_bound(
 # -- sweeps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    degree: int
-    coeff_range: int
-    cardinality: Power
-    log_inv_r: float
-    total: float
-    interference_ratio_bound: float | None
-    seconds: float
-
-
 def sweep(
     matrix: ChannelMatrix,
     degrees: Sequence[int],
     ranges: Sequence[int],
     waive_condition: bool = False,
-) -> List[SweepCell]:
-    """Grid of dof_lower_bound cells under one condition gate.
+) -> List[Tuple[DofReport, float]]:
+    """(report, seconds) for each cell of the (d, N) grid, degree-major.
 
-    A channel whose every receiver :func:`condition.jacobian_certifies` is
-    decided once for the whole grid; any other is gated at each degree in
-    turn, so the first failing degree raises with its report.  Once a
-    degree's gate has passed, each of its cells is a :func:`profile_bound`;
-    a waived grid runs the exact path in every cell.
+    Each degree is gated by :func:`condition.require_independent` at d+1,
+    so the first failing degree raises with its report, until a pass
+    covers every degree (every receiver Jacobian-certified): the grid is
+    then decided once.  Each cell of a passed degree is a
+    :func:`profile_bound`, the report ``dof_lower_bound`` returns; a waived
+    grid runs the exact path of ``dof_lower_bound`` in every cell.
 
     At a fixed degree the total is not promised to increase in N: at d=0 it
     is N-invariant (0 for K >= 3), and the approach to K/2 comes from raising d.
@@ -823,30 +815,18 @@ def sweep(
 
     if not degrees or not ranges:
         raise ValueError("sweep needs at least one degree and one range")
-    settled = waive_condition or all(
-        condition_mod.jacobian_certifies(matrix, i) for i in range(1, matrix.K + 1)
-    )
+    settled = waive_condition
     cells = []
     for d in degrees:
         if not settled:
-            condition_mod.require_independent(matrix, d + 1)
+            settled = condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()
             if waive_condition:
-                cell = dof_lower_bound(matrix, d, N, waive_condition=True)
+                report = dof_lower_bound(matrix, d, N, waive_condition=True)
             else:  # a zero h_ij would have failed the gate at degree 1
-                cell = profile_bound(matrix.K, d, N)
-            cells.append(
-                SweepCell(
-                    degree=d,
-                    coeff_range=N,
-                    cardinality=cell.cardinality,
-                    log_inv_r=cell.log_inv_r,
-                    total=cell.total,
-                    interference_ratio_bound=cell.interference_ratio_bound,
-                    seconds=time.perf_counter() - start,
-                )
-            )
+                report = profile_bound(matrix.K, d, N)
+            cells.append((report, time.perf_counter() - start))
     return cells
 
 

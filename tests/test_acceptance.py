@@ -176,7 +176,7 @@ def test_criterion_08a_strictly_increasing_in_n(sweep_cells):
     # channel H_int = 2 log2 N and H_full = 3 log2 N, so both terms clip to 1
     # and every receiver contributes 0 whatever N is.  The approach to K/2
     # comes from raising d, so the increase in N is required only at d >= 1.
-    by_key = {(c.degree, c.coeff_range): c.total for c in sweep_cells}
+    by_key = {(r.degree, r.coeff_range): r.total for r, _ in sweep_cells}
     ok = all(abs(by_key[(0, n)]) <= 1e-12 for n in (2, 3, 4))
     for n_lo, n_hi in [(2, 3), (3, 4)]:
         ok = ok and by_key[(1, n_hi)] > by_key[(1, n_lo)]
@@ -195,11 +195,11 @@ def test_criterion_08a_strictly_increasing_in_n(sweep_cells):
 def test_criterion_08b_gap_bounded_by_ratio_slack(sweep_cells):
     slack = 0.01
     ok = True
-    for c in sweep_cells:
-        ratio = interference_ratio_bound(3, c.degree, c.coeff_range)
+    for r, seconds in sweep_cells:
+        ratio = interference_ratio_bound(3, r.degree, r.coeff_range)
         allowed = 3 * (ratio - 0.5) + 3 * slack
-        ok = ok and (1.5 - c.total) <= allowed
-        ok = ok and c.seconds < 60.0
+        ok = ok and (1.5 - r.total) <= allowed
+        ok = ok and seconds < 60.0
     record(
         "8b",
         "K/2 gap bounded by K*(ratio_bound - 1/2) + K*slack, cells < 60 s",

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icdof.algebra import AlgebraElement, enumerate_monomials, monomial_count
 from icdof.channel import (
@@ -22,7 +22,7 @@ from icdof.condition import (
     jacobian_certifies,
     monomial_values,
 )
-from icdof.dofbound import containment_check, dof_lower_bound
+from icdof.dofbound import build_w_n, containment_check, dof_lower_bound
 from icdof.errors import CapExceededError
 from icdof import algebra, condition, linalg
 import reference_linalg as dense
@@ -290,6 +290,11 @@ class TestEliminateOnSight:
         st.integers(0, 5),
         st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))),
         max_size=12))
+    # An explicit zero entry is a zero column, which the rule hands to the
+    # reduction.
+    @example([(0, 1), (1, 0), (0, 2)])
+    @example([(1, Fraction(0)), (0, 3), (1, 5)])
+    @example([(0, 2), (1, 1), (2, 0), (0, Fraction(-1, 3))])
     def test_single_entry_rule_matches_bareiss(self, entries):
         columns = [{key: value} for key, value in entries]
         rows = integer_rows([[value if k == key else 0 for key, value in entries]
@@ -389,9 +394,10 @@ class TestMonomialFamily:
         assert verdict.independent and verdict.family_size == 12
 
     def test_multi_term_refused_before_expansion(self, monkeypatch):
-        # Two-term entries at d=8: 2*phi(8) = 6006 values exceed the
-        # elimination cap, so the basis is refused before any product of
-        # entries is expanded or any matrix is built.
+        # Two-term entries: the family at d=8 (2*phi(8) = 6006 values) and
+        # the basis alone at d=9 (phi(9) = 5005) exceed the elimination cap,
+        # so each is refused before any product of entries is expanded or
+        # any matrix is built.
         m = load_channel({
             "K": 3,
             "generators": ["x", "y"],
@@ -402,8 +408,9 @@ class TestMonomialFamily:
         monkeypatch.setattr(AlgebraElement, "__mul__", _refuse("product"))
         monkeypatch.setattr(AlgebraElement, "__pow__", _refuse("power"))
         monkeypatch.setattr(linalg, "eliminate_columns", _refuse("elimination"))
-        for check in (lambda: check_all(m, 8), lambda: basis_values(m, 8)):
-            with pytest.raises(CapExceededError, match="6006"):
+        for check, size in ((lambda: check_all(m, 8), 6006),
+                            (lambda: basis_values(m, 9), 5005)):
+            with pytest.raises(CapExceededError, match=f"size {size} "):
                 check()
 
 
@@ -758,7 +765,9 @@ class TestJacobianCertificate:
     def test_certified_multi_term_answers_past_the_elimination_cap(
             self, monkeypatch):
         # 2 phi(8) = 6,006 columns: the per-degree check refuses before any
-        # product is expanded, and the certificate needs none.
+        # product is expanded, and the certificate needs none.  Containment
+        # eliminates the phi(8) = 3,003 basis values alone, under the cap,
+        # so uncertified it gives the certified answer.
         m = _with_h(3, (1, 2), "h12 + h13")
         report = check_all(m, 8)
         assert report.independent
@@ -766,7 +775,20 @@ class TestJacobianCertificate:
         contained = containment_check(m, 1, 7, 2)
         assert contained.container_cardinality == 4 ** monomial_count(6, 8)
         monkeypatch.setattr(condition, "jacobian_certifies", lambda *_: False)
-        for check in (lambda: check_all(m, 8),
-                      lambda: containment_check(m, 1, 7, 2)):
-            with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
-                check()
+        with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
+            check_all(m, 8)
+        assert containment_check(m, 1, 7, 2) == contained
+
+    def test_basis_read_checks_only_its_own_columns(self):
+        # h32 = h12^9 + h13: the off-diagonal Jacobian fails, so W_N and
+        # containment take the rank of the phi(8) = 3,003 basis values,
+        # which are independent; the check of the 6,006-column family at
+        # d=8 is still refused.
+        m = _with_h(3, (3, 2), "h12^9 + h13")
+        assert not jacobian_certifies(m)
+        construction = build_w_n(m, 8, 2)
+        assert construction.size == (2, 3003)
+        assert construction.unique_representation
+        assert containment_check(m, 1, 7, 2).contained
+        with pytest.raises(CapExceededError, match="elimination columns: size 6006"):
+            check_all(m, 8)

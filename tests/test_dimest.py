@@ -156,6 +156,15 @@ class TestDepthAndGrid:
         assert Fraction(1, 3) ** depth <= Fraction(1, 2 * k_max)
         assert Fraction(1, 3) ** (depth - 1) > Fraction(1, 2 * k_max)
 
+    def test_required_depth_steps_down_from_float_logs(self):
+        # r = 1/2 at k_max = 2^28: log(2^29) / log 2 is 29.000000000000004
+        # in floats, so the first m tried is 30, and 2^29 >= 2 k_max lowers it.
+        k_max = 2**28
+        assert math.ceil(math.log(2 * k_max) / math.log(2)) == 30
+        depth = required_depth(IFSSpec(Fraction(1, 2), (0, 1)), k_max)
+        assert depth == 29
+        assert 2**depth >= 2 * k_max > 2 ** (depth - 1)
+
     def test_required_depth_of_the_benchmark_estimate(self):
         # r = 1/729 over k up to 729^3: 729^4 >= 2 * 729^3 > 729^3.
         assert required_depth(IFSSpec(Fraction(1, 729), (0, 1)), 729**3) == 4

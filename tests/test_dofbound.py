@@ -39,6 +39,7 @@ from icdof.dofbound import (
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
 from icdof import condition, dofbound, linalg
 from reference_entropy import entropy_by_pairs
+from test_golden import _product_doc
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
 SHARED_GENERATOR_K2 = {
@@ -807,11 +808,11 @@ class TestSweep:
     def test_grid_shape_and_values(self):
         cells = sweep(generic_channel(3), [0, 1], [2, 3])
         assert len(cells) == 4
-        by_key = {(c.degree, c.coeff_range): c for c in cells}
+        by_key = {(r.degree, r.coeff_range): r for r, _ in cells}
         assert by_key[(0, 2)].total == pytest.approx(0.0, abs=1e-12)
         assert by_key[(1, 2)].total == pytest.approx(3 / 28, abs=1e-12)
         assert by_key[(1, 3)].total > by_key[(1, 2)].total
-        assert all(c.seconds >= 0 for c in cells)
+        assert all(seconds >= 0 for _, seconds in cells)
 
     def test_condition_checked_once_per_degree(self):
         with pytest.raises(ConditionNotSatisfiedError):
@@ -828,6 +829,22 @@ class TestSweep:
         monkeypatch.setattr(condition, "jacobian_certifies", counted)
         cells = sweep(generic_channel(3), range(200), [2])
         assert len(cells) == 200 and calls == [(1,), (2,), (3,)]
+
+    # h32 = 2/3 h12 h13 (single terms, dependent from degree 2) and a
+    # colliding W_N (dependent from degree 1)
+    @pytest.mark.parametrize("doc,failing_degree", [
+        (_product_doc(), 2), (SHARED_GENERATOR_K2, 1)])
+    def test_waived_grid_is_the_waived_bound(self, doc, failing_degree):
+        # Each cell is the waived bound's report, bit for bit; the gated
+        # grid raises at its first failing degree.
+        m = load_channel(doc)
+        cells = sweep(m, [0, 1], [2, 3], waive_condition=True)
+        assert [report for report, _ in cells] == [
+            dof_lower_bound(m, d, N, waive_condition=True)
+            for d in (0, 1) for N in (2, 3)]
+        with pytest.raises(ConditionNotSatisfiedError) as exc:
+            sweep(m, [0, 1], [2, 3])
+        assert exc.value.report.degree == failing_degree
 
     def test_uncertified_channel_raises_at_its_first_failing_degree(self):
         # h11 = h12^2: the gate at d+1 passes at 1 and fails at 2, where
@@ -959,7 +976,7 @@ class TestProfileBound:
         # total = (3d/(d+6)) (2 log2 N - H_2(N)) / (2 log2 N), with H_2 the
         # entropy of the triangle law of U + U' on {1..N}
         degrees, ranges = [0, 1, 2, 4, 8], [2, 3, 16, 256]
-        cells = sweep(generic_channel(3), degrees, ranges)
+        cells = [report for report, _ in sweep(generic_channel(3), degrees, ranges)]
         assert [(c.degree, c.coeff_range) for c in cells] == [
             (d, N) for d in degrees for N in ranges]
         for c in cells:
@@ -977,7 +994,7 @@ class TestProfileBound:
         # 1 - (n_1 log2 N + n_2 H_2(N)) / (2 phi(d) log2 N); H_2 is the
         # entropy of the triangle law 1, 2, ..., N, ..., 2, 1 over N^2.
         degrees, ranges = [64, 4096], [2, 256]
-        cells = sweep(generic_channel(3), degrees, ranges)
+        cells = [report for report, _ in sweep(generic_channel(3), degrees, ranges)]
         for c in cells:
             d, N = c.degree, c.coeff_range
             phi, phi_prev = math.comb(6 + d, 6), math.comb(5 + d, 6)
