@@ -9,26 +9,27 @@ off-diagonal entries and phi = C(K(K-1) + d, d).
 
 :func:`check_all` is the one place the condition is decided, for every
 receiver or for the ones asked for, and :func:`require_independent` is the
-gate over it.  A receiver that :func:`jacobian_certifies` is independent at
-every degree, and its family is never built.  Any other is checked at the
-given degree.  The family is expanded into exact polynomials in the
-channel generators, built as plain term maps (``algebra.terms_product``)
-and handed to ``linalg.eliminate_columns`` as the sparse coefficient
-columns whose rank decides independence over the rationals.  The
-eliminator owns the elimination cap and the single-entry rule: a
-single-term channel's family is decided from its monomials alone, its rank
-the number of distinct ones.  A product of multi-term entries is not
-expanded for a family past that cap: phi(d) columns for the basis values
-alone, 2 phi(d) for a receiver's family.  A failed check returns an explicit
-integer certificate that substitutes back to the exact zero polynomial; the
-substitution builds only the family values the certificate weighs.  An
-"independent" verdict from the check is certified only up to the tested
-degree.
+gate over it.  The family only grows with d, so a pass at d is a pass at
+every lower degree.  A receiver that :func:`jacobian_certifies` is
+independent at every degree, and its family is never built.  Any other is
+checked at the given degree.  The family is expanded into exact polynomials
+in the channel generators, built as plain term maps
+(``algebra.terms_product``) and handed to ``linalg.eliminate_columns`` as
+the sparse coefficient columns whose rank decides independence over the
+rationals.  The eliminator owns the elimination cap and the single-entry
+rule: a single-term channel's family is decided from its monomials alone,
+its rank the number of distinct ones.  A product of multi-term entries is
+not expanded for a family past that cap: phi(d) columns for the basis
+values alone, 2 phi(d) for a receiver's family.  A failed check returns an
+explicit integer certificate that substitutes back to the exact zero
+polynomial; the substitution builds only the family values the certificate
+weighs.  An "independent" verdict from the check is certified only up to
+the tested degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -226,9 +227,6 @@ class ReceiverVerdict:
     rank: int
     family_size: int
     certificate: DependenceCertificate | None = None
-    # From the Jacobian certificate, so it holds at every degree; not part
-    # of the verdict's value, which is the per-degree check's.
-    every_degree: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -250,19 +248,18 @@ def check_all(
     Each receiver is range-checked before any work.  The off-diagonal
     gradients are taken once.  A receiver that :func:`jacobian_certifies`
     is independent at every degree: its verdict counts phi(d), at any
-    degree, with no family built, and records ``every_degree``, which
-    equality ignores.  The basis values are built once, and only when a
-    requested receiver is left uncertified; then the family's 2 phi(d)
-    columns are checked against the elimination cap before any product of
-    multi-term entries is expanded.  The check sends the family's term maps
-    to ``linalg.eliminate_columns``, with h_ii replaced by D h_ii, D the lcm of
-    h_ii's coefficient denominators, so that its products with integer
-    basis values multiply ints.  Scaling the h_ii half by D > 0 keeps the
-    rank, and maps a kernel (a, b) of the scaled family to the kernel
-    (a, D b) of the true one; the first dependence's kernel is
-    one-dimensional, so ``linalg._coprime`` of (a, D b) is the certificate,
-    and it equals the kernel vector of the tests' dense Bareiss reference on
-    the family :func:`monomial_values` returns.
+    degree, with no family built.  The basis values are built once, and
+    only when a requested receiver is left uncertified; then the
+    family's 2 phi(d) columns are checked against the elimination cap before any
+    product of multi-term entries is expanded.  The check sends the
+    family's term maps to ``linalg.eliminate_columns``, with h_ii replaced
+    by D h_ii, D the lcm of h_ii's coefficient denominators, so that its
+    products with integer basis values multiply ints.  Scaling the h_ii
+    half by D > 0 keeps the rank, and maps a kernel (a, b) of the scaled
+    family to the kernel (a, D b) of the true one; the first dependence's
+    kernel is one-dimensional, so ``linalg._coprime`` of (a, D b) is the
+    certificate, and it equals the kernel vector of the tests' dense
+    Bareiss reference on the family :func:`monomial_values` returns.
     """
     receivers = range(1, matrix.K + 1) if receivers is None else receivers
     for i in receivers:
@@ -279,8 +276,7 @@ def check_all(
     verdicts = []
     for i, ok in zip(receivers, certified):
         if ok:
-            verdicts.append(ReceiverVerdict(
-                i, d, True, 2 * phi, 2 * phi, every_degree=True))
+            verdicts.append(ReceiverVerdict(i, d, True, 2 * phi, 2 * phi))
             continue
         h_ii, scale = linalg.integer_column(matrix.diagonal(i)._terms)
         rank, kernel = linalg.eliminate_columns(_receiver_family(h_ii, basis))
@@ -296,15 +292,15 @@ def check_all(
     return ConditionReport(d, tuple(verdicts))
 
 
-def require_independent(matrix: ChannelMatrix, degree: int) -> bool:
+def require_independent(matrix: ChannelMatrix, degree: int) -> None:
     """The condition gate: raise unless every receiver family is independent.
 
     Raises :class:`ConditionNotSatisfiedError` carrying the
     :func:`check_all` report over every receiver (and so the certificate)
     at ``degree``.  A channel whose every receiver :func:`jacobian_certifies`
-    passes with no family built, at any degree, and the gate returns True:
-    its pass covers every degree.  Any other is checked at ``degree``
-    alone, and a pass returns False.
+    passes with no family built, at any degree; any other is checked at
+    ``degree``.  The degree-D family contains every lower degree's, so a
+    pass at D is a pass at every degree up to D.
 
     ``build`` gates at d: the letters of W_N are integer combinations of the
     degree-<=d basis values, and their representation is unique (|W_N| =
@@ -323,4 +319,3 @@ def require_independent(matrix: ChannelMatrix, degree: int) -> bool:
             "waive the condition (--waive-condition) to proceed anyway",
             report,
         )
-    return all(v.every_degree for v in report.verdicts)

@@ -93,8 +93,13 @@ def _sorted_cell_counts(samples: np.ndarray, k: int) -> np.ndarray | None:
 
 
 def required_depth(spec: IFSSpec, k_max: int) -> int:
-    """Smallest depth m >= 1 with r^m <= 1/(2 k_max), so truncation error
-    stays below the finest quantization cell.
+    """Smallest depth m >= 1 with r^m <= 1/(2 k_max).
+
+    The truncation tail is at most r^m max|atom| / (1 - r), so it stays
+    below the finest quantization cell 1/k_max only when max|atom| / (1 - r)
+    <= 2; the rule does not read the atoms.  For Cantor (r = 1/3, atoms 0
+    and 2) at k_max = 81, depth 5 leaves a tail of up to 3 * 3^-5 = 1/81,
+    one whole cell.
 
     The test is exact, (1/r)^m >= 2 k_max in ``Fraction`` arithmetic (a
     float r is an exact binary fraction).  The float logs only give the

@@ -36,13 +36,12 @@ runs with the left fold's sum carried from block to block, so every bit is
 the whole law's.
 
 The condition gate is :func:`condition.require_independent`, at degree d+1
-for the bound and the sweep; the sweep asks it at each degree until a pass
-covers every degree, and its cells are the bound's reports.  Containment
-is W_N's independence test, of the degree-(d+1) basis values; once they
-are independent, the argument of :func:`profile_bound` places the support
-in the degree-(d+1) lattice box and gives its size from the multiplicity
-profile.  It reads no support element, builds no W_N and computes no sum
-law.
+for the bound and the sweep; the sweep asks it once, at its largest degree,
+and its cells are the bound's reports.  Containment is W_N's independence
+test, of the degree-(d+1) basis values; once they are independent, the
+argument of :func:`profile_bound` places the support in the degree-(d+1)
+lattice box and gives its size from the multiplicity profile.  It reads no
+support element, builds no W_N and computes no sum law.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .algebra import (
     monomial_key,
 )
 from .channel import ChannelMatrix, fully_connected, integer_offdiag_channel
-from .errors import CapExceededError
+from .errors import CapExceededError, ConditionNotSatisfiedError
 from . import condition as condition_mod, linalg
 from .ifs import IFSSpec
 
@@ -800,12 +799,13 @@ def sweep(
 ) -> List[Tuple[DofReport, float]]:
     """(report, seconds) for each cell of the (d, N) grid, degree-major.
 
-    Each degree is gated by :func:`condition.require_independent` at d+1,
-    so the first failing degree raises with its report, until a pass
-    covers every degree (every receiver Jacobian-certified): the grid is
-    then decided once.  Each cell of a passed degree is a
-    :func:`profile_bound`, the report ``dof_lower_bound`` returns; a waived
-    grid runs the exact path of ``dof_lower_bound`` in every cell.
+    The grid is gated once, by :func:`condition.require_independent` at
+    max(degrees)+1: the family only grows with the degree, so that pass is
+    a pass at every d+1.  Only when it raises is each degree gated at d+1,
+    in the order given, so the first failing degree raises with its own
+    report.  Each cell of a passed grid is a :func:`profile_bound`, the
+    report ``dof_lower_bound`` returns; a waived grid runs the exact path of
+    ``dof_lower_bound`` in every cell.
 
     At a fixed degree the total is not promised to increase in N: at d=0 it
     is N-invariant (0 for K >= 3), and the approach to K/2 comes from raising d.
@@ -815,11 +815,15 @@ def sweep(
 
     if not degrees or not ranges:
         raise ValueError("sweep needs at least one degree and one range")
-    settled = waive_condition
+    if not waive_condition:
+        try:
+            condition_mod.require_independent(matrix, max(degrees) + 1)
+        except (ConditionNotSatisfiedError, CapExceededError):
+            for d in degrees:
+                condition_mod.require_independent(matrix, d + 1)
+            raise
     cells = []
     for d in degrees:
-        if not settled:
-            settled = condition_mod.require_independent(matrix, d + 1)
         for N in ranges:
             start = time.perf_counter()
             if waive_condition:

@@ -308,13 +308,6 @@ def _add_draws(acc: np.ndarray, step: np.ndarray, table: np.ndarray,
         del u, add  # so the next block's draws are not held beside these
 
 
-def truncation_bound(spec: IFSSpec, depth: int) -> float:
-    """|X_infinity - X_depth| <= r^depth * max|atom| / (1 - r)."""
-    r = float(spec.r)
-    peak = max(abs(float(a)) for a in spec.atoms)
-    return r**depth * peak / (1.0 - r)
-
-
 def fixed_point_discrepancy(
     spec: IFSSpec,
     depth: int,

@@ -39,6 +39,7 @@ from icdof.dofbound import (
 from icdof.errors import CapExceededError, ConditionNotSatisfiedError
 from icdof import condition, dofbound, linalg
 from reference_entropy import entropy_by_pairs
+from test_condition import _four_entry_channel, _with_h
 from test_golden import _product_doc
 
 #: h12 = h21 = g: the degree-1 basis values coincide, so W_N has collisions.
@@ -859,6 +860,58 @@ class TestSweep:
         assert report.degree == 2
         assert [v.independent for v in report.verdicts] == [False, True]
         assert report.verdicts[0].certificate.is_valid(m)
+
+    @staticmethod
+    def _gates(monkeypatch):
+        """The degree and outcome of each ``check_all`` call the gate makes."""
+        gates = []
+        check_all = condition.check_all
+
+        def recorded(matrix, d, receivers=None):
+            try:
+                report = check_all(matrix, d, receivers)
+            except CapExceededError:
+                gates.append((d, "refused"))
+                raise
+            gates.append((d, report.independent))
+            return report
+
+        monkeypatch.setattr(condition, "check_all", recorded)
+        return gates
+
+    def test_uncertified_grid_is_gated_once_at_its_largest_degree(
+            self, monkeypatch):
+        # h32 = h12^9 + h13: the off-diagonal Jacobian fails, and the
+        # family is independent at degree 6, so degrees 1..5 need no gate.
+        m = _with_h(3, (3, 2), "h12^9 + h13")
+        assert not condition.jacobian_certifies(m)
+        gates = self._gates(monkeypatch)
+        cells = sweep(m, range(6), [2])
+        assert gates == [(6, True)]
+        assert [r for r, _ in cells] == [profile_bound(3, d, 2) for d in range(6)]
+
+    def test_failed_top_gate_raises_the_first_failing_degree(self, monkeypatch):
+        # h32 = 5/3 h12 h13 is dependent from degree 2; its degree-9 family
+        # (10,010 columns) is refused first, and the per-degree gates then
+        # raise degree 2's report, as a grid of degrees 0..1 does.
+        m = _with_h(3, (3, 2), "5/3*h12*h13")
+        gates = self._gates(monkeypatch)
+        with pytest.raises(ConditionNotSatisfiedError) as exc:
+            sweep(m, range(9), [2])
+        assert gates == [(9, "refused"), (1, True), (2, False)]
+        report = exc.value.report
+        assert report.degree == 2 and not report.independent
+        assert all(v.certificate.is_valid(m)
+                   for v in report.verdicts if not v.independent)
+        with pytest.raises(ConditionNotSatisfiedError) as short:
+            sweep(m, [0, 1], [2])
+        assert short.value.report == report
+
+    def test_grid_past_the_cap_is_refused_at_its_first_refused_degree(self):
+        # The four-entry channel passes at degrees 1..7 and is refused at 8.
+        with pytest.raises(CapExceededError,
+                           match="^elimination columns: size 6006 exceeds cap 4000$"):
+            sweep(_four_entry_channel(), range(8), [2])
 
 
 def _coeff():
