@@ -236,10 +236,7 @@ def rational_channel(values: Sequence[Sequence]) -> ChannelMatrix:
     return matrix
 
 
-def integer_offdiag_channel(
-    offdiag: Sequence[Sequence[int]],
-    diagonal_valuation: Dict[str, float] | None = None,
-) -> ChannelMatrix:
+def integer_offdiag_channel(offdiag: Sequence[Sequence[int]]) -> ChannelMatrix:
     """Integer off-diagonal entries, distinct-generator (irrational) diagonals.
 
     ``offdiag[i][j]`` supplies h_ij for i != j, a nonzero integer (a float
@@ -263,4 +260,4 @@ def integer_offdiag_channel(
                     )
                 row.append(AlgebraElement.constant(K, int(value)))
         rows.append(tuple(row))
-    return ChannelMatrix(K, names, tuple(rows), diagonal_valuation)
+    return ChannelMatrix(K, names, tuple(rows))

@@ -4,7 +4,10 @@ Subcommands: check, build, bound, sweep, example-rational, fig1, estimate,
 ifs.  JSON reports embed a run manifest (command, parameters, seeds, tool
 version, input digests, wall clock); CSV payloads embed the same manifest
 minus the wall clock as a single ``# manifest:`` comment line, so reruns
-with identical manifests are byte-identical.
+with identical manifests are byte-identical.  The parameters are the parsed
+options less the output paths ``--out`` and ``--samples-out``, the seed
+(under seeds) and the channel file (digested); ``estimate`` records its
+resolved k grid, not ``--kmin``/``--kmax``, and its resolved depth.
 
 Each command imports the module it runs: ``build``, ``bound``, ``sweep``,
 ``example-rational`` and ``fig1`` import ``dofbound``, ``estimate`` imports
@@ -175,13 +178,25 @@ def _digest(path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(command: str, params: dict, inputs: dict | None = None, seeds=None):
+#: Parsed options that are not run parameters: argparse's ``command`` and
+#: ``func``, the output paths, the seed (under ``seeds``) and ``estimate``'s
+#: k range (recorded as the resolved ``k_grid``).
+_NOT_PARAMETERS = {"command", "func", "out", "samples_out", "seed", "kmin", "kmax"}
+
+
+def _manifest(args, inputs=(), seeds=None, **resolved) -> dict:
+    """The run manifest of the parsed ``args``: the input files named in
+    ``inputs`` are digested, not parameters, and a ``resolved`` value
+    replaces the option it comes from."""
+    skip = _NOT_PARAMETERS.union(inputs)
+    params = {k: v for k, v in vars(args).items() if k not in skip}
+    params.update(resolved)
     return {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seeds": seeds,
         "tool_version": __version__,
-        "input_digests": {k: _digest(v) for k, v in (inputs or {}).items()},
+        "input_digests": {k: _digest(getattr(args, k)) for k in inputs},
     }
 
 
@@ -298,12 +313,8 @@ def cmd_check(args) -> int:
     matrix = load_channel_file(args.channel)
     receivers = None if args.receiver is None else [args.receiver]
     report = condition.check_all(matrix, args.degree, receivers)
-    manifest = _manifest(
-        "check",
-        {"degree": args.degree, "receiver": args.receiver},
-        {"channel": args.channel},
-    )
-    _write_report(manifest, _condition_report_dict(report), started, args.out)
+    _write_report(_manifest(args, ["channel"]), _condition_report_dict(report),
+                  started, args.out)
     return 0
 
 
@@ -323,16 +334,7 @@ def cmd_build(args) -> int:
         "log_inv_r": construction.log_inv_r,
         "unique_representation": construction.unique_representation,
     }
-    manifest = _manifest(
-        "build",
-        {
-            "degree": args.degree,
-            "range": args.range,
-            "waive_condition": args.waive_condition,
-        },
-        {"channel": args.channel},
-    )
-    _write_report(manifest, report, started, args.out)
+    _write_report(_manifest(args, ["channel"]), report, started, args.out)
     return 0
 
 
@@ -344,16 +346,8 @@ def cmd_bound(args) -> int:
     report = dofbound.dof_lower_bound(
         matrix, args.degree, args.range, waive_condition=args.waive_condition
     )
-    manifest = _manifest(
-        "bound",
-        {
-            "degree": args.degree,
-            "range": args.range,
-            "waive_condition": args.waive_condition,
-        },
-        {"channel": args.channel},
-    )
-    _write_report(manifest, _dof_report_dict(report), started, args.out)
+    _write_report(_manifest(args, ["channel"]), _dof_report_dict(report), started,
+                  args.out)
     return 0
 
 
@@ -366,15 +360,7 @@ def cmd_sweep(args) -> int:
     cells = dofbound.sweep(
         matrix, degrees, ranges, waive_condition=args.waive_condition
     )
-    manifest = _manifest(
-        "sweep",
-        {
-            "degrees": args.degrees,
-            "ranges": args.ranges,
-            "waive_condition": args.waive_condition,
-        },
-        {"channel": args.channel},
-    )
+    manifest = _manifest(args, ["channel"])
     header = ["degree", "coeff_range", "cardinality", "log_inv_r", "total",
               "interference_ratio_bound"]
     rows = [
@@ -407,11 +393,7 @@ def cmd_example_rational(args) -> int:
         "interference_support": [result.interference_min, result.interference_max],
         "dof": _dof_report_dict(result.report),
     }
-    manifest = _manifest(
-        "example-rational",
-        {"k": args.k, "hmax": args.hmax, "range": args.range},
-    )
-    _write_report(manifest, report, started, args.out)
+    _write_report(_manifest(args), report, started, args.out)
     return 0
 
 
@@ -420,7 +402,7 @@ def cmd_fig1(args) -> int:
 
     started = time.perf_counter()
     report = dataclasses.asdict(dofbound.fig1_demo())
-    _write_report(_manifest("fig1", {}), report, started, args.out)
+    _write_report(_manifest(args), report, started, args.out)
     return 0
 
 
@@ -442,17 +424,8 @@ def cmd_estimate(args) -> int:
         chunks=args.threads,
     )
     comparison = dimest.compare_with_formula(spec, estimate)
-    manifest = _manifest(
-        "estimate",
-        {
-            "spec": args.spec,
-            "k_grid": list(estimate.k_grid),
-            "samples": args.samples,
-            "depth": estimate.depth,
-            "threads": args.threads,
-        },
-        seeds=[args.seed],
-    )
+    manifest = _manifest(args, seeds=[args.seed], k_grid=list(estimate.k_grid),
+                         depth=estimate.depth)
     header = ["k", "H_bits", "H_over_logk"]
     rows = [
         [k, h, p]
@@ -512,20 +485,8 @@ def cmd_ifs(args) -> int:
             )
         report["samples_out"] = str(path)
         report["sample_count"] = int(args.sample)
-    manifest = _manifest(
-        "ifs",
-        {
-            "spec": args.spec,
-            "overlap_depth": args.overlap_depth,
-            "tolerance": args.tolerance,
-            "sample": args.sample,
-            "depth": args.depth,
-            "format": args.format,
-            "threads": args.threads,
-        },
-        seeds=[args.seed] if args.sample is not None else None,
-    )
-    _write_report(manifest, report, started, args.out)
+    seeds = [args.seed] if args.sample is not None else None
+    _write_report(_manifest(args, seeds=seeds), report, started, args.out)
     return 0
 
 
@@ -552,21 +513,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("build", help="build the input alphabet W_N and report its size")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--range", type=int, required=True, help="coefficient range N")
-    p.add_argument("--waive-condition", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("bound", help="compute the DoF lower bound at (d, N)")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--range", type=int, required=True, help="coefficient range N")
-    p.add_argument("--waive-condition", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_bound)
+    for name, func, text in [
+        ("build", cmd_build, "build the input alphabet W_N and report its size"),
+        ("bound", cmd_bound, "compute the DoF lower bound at (d, N)"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--channel", required=True)
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--range", type=int, required=True, help="coefficient range N")
+        p.add_argument("--waive-condition", action="store_true")
+        add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="grid of bounds over degrees and ranges (CSV)")
     p.add_argument("--channel", required=True)

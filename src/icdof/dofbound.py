@@ -490,10 +490,7 @@ def _signature(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
     sign up to a shift, and the addends commute.  So the multiset of counts,
     hence the entropy and the support size, is the signature's.
     """
-    denominator = math.lcm(*(c.denominator for c in coeffs))
-    numerators = [c.numerator * (denominator // c.denominator) for c in coeffs]
-    g = math.gcd(*numerators)
-    return tuple(sorted(abs(n) // g for n in numerators))
+    return tuple(sorted(abs(c) for c in linalg._coprime(list(coeffs))))
 
 
 def _scaled_uniform_law(signature: Tuple[int, ...], N: int) -> Tuple[float, int]:
@@ -543,8 +540,9 @@ def sum_entropy_stats(
     entropy = 0.0
     support = 1
     for monomials, members in _components(addends):
-        signature = _signature([c for y in members for c in y.terms.values()])
-        if len(monomials) == 1 and (N - 1) * sum(signature) < DEFAULT_SUPPORT_CAP:
+        signature = len(monomials) == 1 and _signature(
+            [c for y in members for c in y.terms.values()])
+        if signature and (N - 1) * sum(signature) < DEFAULT_SUPPORT_CAP:
             bits, size = law(signature)
         else:
             size = N ** len(members)

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -508,6 +510,97 @@ class TestIfsSubcommand:
         code, out, err = run(capsys, command, "--spec", spec)
         assert code == 1 and out == ""
         assert "atoms must be finite" in json.loads(err)["error"]
+
+
+#: (argv, manifest parameters, seeds, input digest keys).  ``{channel}``,
+#: ``{out}`` and ``{draws}`` name files in the test's directory.
+MANIFEST_CASES = [
+    (["check", "--channel", "{channel}", "--degree", "1"],
+     {"degree": 1, "receiver": None}, None, ["channel"]),
+    (["check", "--channel", "{channel}", "--degree", "1", "--receiver", "2"],
+     {"degree": 1, "receiver": 2}, None, ["channel"]),
+    (["build", "--channel", "{channel}", "--degree", "1", "--range", "2"],
+     {"degree": 1, "range": 2, "waive_condition": False}, None, ["channel"]),
+    (["build", "--channel", "{channel}", "--degree", "1", "--range", "2",
+      "--waive-condition"],
+     {"degree": 1, "range": 2, "waive_condition": True}, None, ["channel"]),
+    (["bound", "--channel", "{channel}", "--degree", "0", "--range", "3"],
+     {"degree": 0, "range": 3, "waive_condition": False}, None, ["channel"]),
+    (["sweep", "--channel", "{channel}", "--degrees", "0,1", "--ranges", "2"],
+     {"degrees": "0,1", "ranges": "2", "waive_condition": False}, None, ["channel"]),
+    (["sweep", "--channel", "{channel}", "--degrees", "0", "--ranges", "2,3",
+      "--waive-condition", "--out", "{out}"],
+     {"degrees": "0", "ranges": "2,3", "waive_condition": True}, None, ["channel"]),
+    (["example-rational", "--k", "3", "--range", "4"],
+     {"k": 3, "hmax": 1, "range": 4}, None, []),
+    (["fig1"], {}, None, []),
+    (["estimate", "--spec", CANTOR_SPEC, "--k-grid", "9,27", "--samples", "2000"],
+     {"spec": CANTOR_SPEC, "k_grid": [9, 27], "samples": 2000, "depth": 4,
+      "threads": 1}, [0], []),
+    (["estimate", "--spec", CANTOR_SPEC, "--kmin", "3", "--kmax", "81",
+      "--samples", "2000", "--seed", "5", "--threads", "2", "--out", "{out}"],
+     {"spec": CANTOR_SPEC, "k_grid": [3, 9, 27, 81], "samples": 2000, "depth": 5,
+      "threads": 2}, [5], []),
+    (["ifs", "--spec", CANTOR_SPEC, "--overlap-depth", "2"],
+     {"spec": CANTOR_SPEC, "overlap_depth": 2, "tolerance": 0.0, "sample": None,
+      "depth": 32, "format": "csv", "threads": 1}, None, []),
+    (["ifs", "--spec", CANTOR_SPEC, "--sample", "10", "--depth", "8", "--seed", "4",
+      "--samples-out", "{draws}"],
+     {"spec": CANTOR_SPEC, "overlap_depth": None, "tolerance": 0.0, "sample": 10,
+      "depth": 8, "format": "csv", "threads": 1}, [4], []),
+]
+
+#: Parsed options a manifest leaves out of its parameters: output paths, the
+#: seed (under ``seeds``), input files (under ``input_digests``) and
+#: ``estimate``'s k range (as the resolved ``k_grid``).
+NOT_PARAMETERS = {"help", "out", "samples_out", "seed", "channel", "kmin", "kmax"}
+
+
+class TestManifest:
+    @staticmethod
+    def manifest(capsys, tmp_path, generic_file, argv):
+        files = {"{channel}": generic_file, "{out}": str(tmp_path / "out"),
+                 "{draws}": str(tmp_path / "draws.csv")}
+        argv = [files.get(arg, arg) for arg in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if out.startswith("# manifest: "):
+            return json.loads(out.split("\n", 1)[0][len("# manifest: "):])
+        manifest = json.loads(out)["manifest"]
+        if "--out" in argv and argv[0] in ("sweep", "estimate"):
+            # The CSV file holds the stdout summary's manifest less its timings.
+            line = Path(files["{out}"]).read_text().split("\n", 1)[0]
+            timings = ({"wall_clock_s", "cell_seconds"} if argv[0] == "sweep"
+                       else {"wall_clock_s"})
+            assert timings <= set(manifest)
+            assert json.loads(line[len("# manifest: "):]) == {
+                k: v for k, v in manifest.items() if k not in timings}
+        return manifest
+
+    @pytest.mark.parametrize("argv, parameters, seeds, inputs", MANIFEST_CASES)
+    def test_manifest_contents(self, capsys, tmp_path, generic_file, argv,
+                               parameters, seeds, inputs):
+        manifest = self.manifest(capsys, tmp_path, generic_file, argv)
+        assert manifest["command"] == argv[0]
+        assert manifest["tool_version"] == icdof.__version__
+        assert manifest["parameters"] == parameters
+        assert manifest["seeds"] == seeds
+        assert sorted(manifest["input_digests"]) == inputs
+        if inputs:
+            digest = hashlib.sha256(Path(generic_file).read_bytes()).hexdigest()
+            assert manifest["input_digests"]["channel"] == "sha256:" + digest
+
+    def test_parameters_are_the_parsed_options(self, capsys, tmp_path, generic_file):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        cases = {}
+        for argv, *_ in MANIFEST_CASES:
+            cases.setdefault(argv[0], argv)
+        assert set(cases) == set(subparsers.choices)
+        for command, parser in subparsers.choices.items():
+            manifest = self.manifest(capsys, tmp_path, generic_file, cases[command])
+            dests = {a.dest for a in parser._actions} - NOT_PARAMETERS
+            assert set(manifest["parameters"]) == dests, command
 
 
 class TestUsageErrors:

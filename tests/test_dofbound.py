@@ -274,6 +274,22 @@ class TestScaledUniformKernel:
         want = (entropy_by_pairs(counts, N ** len(coeffs)), int((counts > 0).sum()))
         assert dofbound._scaled_uniform_law(tuple(coeffs), N) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-12, 12).filter(bool)
+                    | st.fractions(-6, 6, max_denominator=6).filter(bool),
+                    min_size=1, max_size=4),
+           st.integers(1, 4))
+    @example([Fraction(-1, 2), Fraction(3, 4), 2], 3)
+    def test_signature_keeps_the_counts(self, coeffs, N):
+        # The law of sum_t c_t U_t is the signature's up to a bijection of
+        # its values, so the two share their multiset of counts.
+        counts = dofbound._convolve_scaled_uniform(dofbound._signature(coeffs), N)
+        tally = Counter(
+            sum(c * u for c, u in zip(coeffs, combo))
+            for combo in itertools.product(range(N), repeat=len(coeffs))
+        )
+        assert sorted(counts[counts > 0].tolist()) == sorted(tally.values())
+
     @pytest.mark.parametrize("coeffs, N, name", [
         ((0,), 5, "coefficients must be >= 1, got 0"),
         ((2, -1), 5, "coefficients must be >= 1, got -1"),
